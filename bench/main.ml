@@ -315,7 +315,7 @@ let faults_mode () =
                  {
                    label;
                    time_s = t;
-                   fellback = rec_.Runtime.Schedule_gen.rec_fellback;
+                   fellback = rec_.Machine.Engine.died_at <> None;
                  })
              specs)
       fault_workloads

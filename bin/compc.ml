@@ -45,6 +45,11 @@ let die_usage msg =
 
 let or_die = function Ok v -> v | Error msg -> die_usage msg
 
+(* a streamed program with no blocks divides by zero when it runs *)
+let check_nblocks ~cmd n =
+  if n < 1 then
+    die_usage (Printf.sprintf "%s: --nblocks must be at least 1 (got %d)" cmd n)
+
 (* --- --faults SPEC (shared by --profile and check) --- *)
 
 let fault_conv =
@@ -261,6 +266,7 @@ let optimize_cmd =
              stderr)")
   in
   let run file nblocks full only o mpasses report residency auto =
+    check_nblocks ~cmd:"optimize" nblocks;
     let prog = or_die (load file) in
     let memory =
       if full then Transforms.Streaming.Full
@@ -727,6 +733,7 @@ let check_cmd =
   in
   let run file transform runs seed nblocks fuel inject record faults jobs
       engine o mpasses residency devices streams =
+    check_nblocks ~cmd:"check" nblocks;
     let txfs =
       match transform with None -> Check.all_transforms | Some t -> [ t ]
     in
@@ -1378,13 +1385,13 @@ let profile_run ~faults ~engine file out =
           Runtime.Replay.schedule_recovered ~obs cfg o.Minic.Interp.events
         with
         | rec_ ->
-            (match rec_.Runtime.Replay.r_died_at with
+            (match rec_.Machine.Engine.died_at with
             | Some at ->
                 Printf.printf
                   "// device declared dead at %.6f s; recovered on the CPU\n"
                   at
             | None -> ());
-            rec_.Runtime.Replay.r_result
+            rec_.Machine.Engine.result
         | exception Fault.Device_dead { dev = _; at; failures } ->
             Printf.eprintf
               "fault: device declared dead at %.6f s after %d failed \

@@ -298,8 +298,8 @@ let check_faulted ?engine ?fuel ?nblocks ?(transforms = all_transforms) ~spec
       let faulted_s, fellback, died =
         match Runtime.Replay.schedule_recovered fault_cfg events with
         | r ->
-            ( r.Runtime.Replay.r_result.Machine.Engine.makespan,
-              r.Runtime.Replay.r_fellback,
+            ( r.Machine.Engine.result.makespan,
+              r.Machine.Engine.died_at <> None,
               false )
         | exception Fault.Device_dead _ -> (Float.nan, false, true)
       in

@@ -235,8 +235,7 @@ let simulate_recovered ?obs ?(cfg = Machine.Config.paper_default)
   let strategy, shape = plan_of_variant w a variant in
   let r = Runtime.Schedule_gen.schedule_recovered ?obs cfg shape strategy in
   let time =
-    shape.Runtime.Plan.host_serial_s
-    +. r.Runtime.Schedule_gen.rec_result.Machine.Engine.makespan
+    shape.Runtime.Plan.host_serial_s +. r.Machine.Engine.result.makespan
   in
   (time, r)
 

@@ -127,7 +127,7 @@ val simulate_recovered :
   ?cfg:Machine.Config.t ->
   Workloads.Workload.t ->
   variant ->
-  float * Runtime.Schedule_gen.recovered
+  float * Machine.Engine.recovered
 (** Whole-application time with [cfg.fault] injected and device death
     absorbed by the CPU fallback when the policy allows it.  Without
     [cpu_fallback] an unrecoverable death escapes as

@@ -299,6 +299,41 @@ let schedule ?obs ?faults (tasks : Task.t list) : result =
          (Printf.sprintf "dependency cycle among %d tasks" (n - !scheduled)));
   result_of_placed (List.rev !placed)
 
+type recovered = { result : result; died_at : float option }
+
+(** The device-death ladder of a single-device task graph: schedule
+    [build]'s graph under [spec] (device 0's plan is handed to [build]
+    so it can draw signal fates); when the device is declared dead and
+    the policy allows it, the host re-runs [fallback] as one chain
+    behind the lost device time.  Without [cpu_fallback] the death
+    re-escapes. *)
+let schedule_recovered ?obs spec build ~fallback =
+  match Fault.fleet_of ?obs ~devices:1 spec with
+  | None -> { result = schedule ?obs (build None); died_at = None }
+  | Some fleet -> (
+      let plan = Fault.fleet_plan fleet ~dev:0 in
+      try
+        { result = schedule ?obs ~faults:fleet (build (Some plan));
+          died_at = None }
+      with Fault.Device_dead { at; _ } as death ->
+        Option.iter (fun o -> Obs.incr o "fault.dead_devices") obs;
+        if not (Fault.policy plan).Fault.cpu_fallback then raise death;
+        Fault.note_fallback plan;
+        (* the host chain: the work lost up to the death, then every
+           fallback task in order; the data is already host resident *)
+        let b = Task.builder () in
+        let lost =
+          Task.add b ~label:"device-dead (lost work)" ~resource:Task.Cpu_exec
+            ~kind:Obs.Retry ~duration:at ()
+        in
+        ignore
+          (List.fold_left
+             (fun prev (label, duration) ->
+               Task.add b ~deps:[ prev ] ~label ~resource:Task.Cpu_exec
+                 ~kind:Obs.Retry ~duration ())
+             lost (Lazy.force fallback));
+        { result = schedule ?obs (Task.tasks b); died_at = Some at })
+
 (** Makespan of a task list (convenience). *)
 let makespan tasks = (schedule tasks).makespan
 

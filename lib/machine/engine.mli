@@ -39,9 +39,32 @@ val schedule : ?obs:Obs.t -> ?faults:Fault.fleet -> Task.t list -> result
     show recovery as its own phase.  A kernel crossing its plan's
     [reset@T] loses its progress and reruns after the reset recovery.
     When the degradation policy declares a device dead, the engine
-    raises {!Fault.Device_dead} carrying the device index; recovery
-    (migration to surviving devices, then CPU fallback) happens at the
-    strategy layer ([Schedule_gen] / [Replay] / [Migrate]). *)
+    raises {!Fault.Device_dead} carrying the device index; a
+    single-device graph recovers through {!schedule_recovered}, a
+    multi-device trace through [Runtime.Migrate]. *)
+
+type recovered = {
+  result : result;
+  died_at : float option;
+      (** when the device was declared dead and the host took over *)
+}
+
+val schedule_recovered :
+  ?obs:Obs.t ->
+  Fault.spec ->
+  (Fault.t option -> Task.t list) ->
+  fallback:(string * float) list Lazy.t ->
+  recovered
+(** The one device-death ladder for single-device task graphs.  The
+    graph builder receives device 0's plan ([None] under
+    {!Fault.none}), so it can draw signal fates from the plan the
+    engine consults.  When the device is declared dead and the policy
+    allows [cpu_fallback], the host runs a ["device-dead (lost work)"]
+    task as long as the time burnt up to the death, then each
+    [(label, seconds)] of [fallback] in order, all [Obs.Retry] on
+    [Cpu_exec]; [fault.dead_devices] and [fault.fallbacks] are
+    counted.  Without [cpu_fallback] the death re-escapes as
+    {!Fault.Device_dead}. *)
 
 val makespan : Task.t list -> float
 

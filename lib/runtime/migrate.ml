@@ -151,13 +151,13 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
   (* a block in flight when its device died restarts no earlier than
      the death: the time burned on the dead device is really lost *)
   let ready = Array.make (max 1 n) 0. in
+  (* the round-robin (device, stream) grid over the alive devices:
+     consecutive units on distinct devices first, spreading blocks
+     across PCIe links, then the next stream of each device *)
   let alive_units () =
-    Plan.placements
-      ~alive:
-        (List.filter
-           (fun d -> alive.(d))
-           (List.init devices (fun d -> d)))
-      ~streams
+    let alive = List.filter (fun d -> alive.(d)) (List.init devices Fun.id) in
+    let nd = List.length alive in
+    List.init (nd * streams) (fun i -> (List.nth alive (i mod nd), i / nd))
   in
   let assign_all from_block =
     (* (re-)assign every unexecuted block from [from_block] on,

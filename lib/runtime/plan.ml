@@ -163,19 +163,6 @@ let declared_transfers (cfg : Machine.Config.t) (s : shape) = function
         fault_bytes = 0.;
       }
 
-(** Round-robin placement grid over the alive devices of a
-    [devices x streams] machine: unit [i] is [(device, stream)], with
-    consecutive units on distinct devices first — so consecutive
-    blocks spread across PCIe links — then on the next stream of each
-    device.  [alive = \[0\]], [streams = 1] yields the classic
-    single-unit grid [\[(0, 0)\]]. *)
-let placements ~alive ~streams =
-  let alive = List.sort_uniq compare alive in
-  let alive = if alive = [] then [ 0 ] else alive in
-  let nd = List.length alive in
-  let streams = max 1 streams in
-  List.init (nd * streams) (fun i -> (List.nth alive (i mod nd), i / nd))
-
 let strategy_name = function
   | Host_parallel -> "cpu"
   | Naive_offload -> "mic-naive"

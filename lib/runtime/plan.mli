@@ -81,12 +81,6 @@ val merged : ?streamed:bool -> ?nblocks:int -> unit -> strategy
 
 val strategy_name : strategy -> string
 
-val placements : alive:int list -> streams:int -> (int * int) list
-(** Round-robin placement grid over the alive devices: unit [i] is
-    [(device, stream)], consecutive units on distinct devices first
-    (spreading blocks across PCIe links), then the next stream.
-    [alive:\[0\] ~streams:1] is the classic single-unit grid. *)
-
 val shared_of_shape : shape -> shared
 (** The shared-structure description of a shape, with the schedule
     generator's default when none is given. *)

@@ -169,78 +169,29 @@ let schedule ?obs ?params (cfg : Config.t) events =
 
 let makespan ?params cfg events = (schedule ?params cfg events).Engine.makespan
 
-type recovered = {
-  r_result : Engine.result;
-  r_fellback : bool;  (** the device died and the CPU took over *)
-  r_died_at : float option;  (** when the device was declared dead *)
-}
-
-(* What the host runs when the device is declared dead: the work lost
-   up to the death, then every kernel re-executed on the CPU at the
-   fallback slowdown.  Transfers vanish (the data is already host
-   resident); everything chains on the host. *)
-let fallback_tasks ?(params = default_params) (cfg : Config.t) ~died_at
-    (events : Minic.Interp.event list) =
-  let b = Task.builder () in
-  let prev =
-    ref
-      [
-        Task.add b ~label:"device-dead (lost work)" ~resource:Task.Cpu_exec
-          ~kind:Obs.Retry ~duration:died_at ();
-      ]
-  in
+(** Like {!schedule}, but a device declared dead is absorbed by
+    {!Engine.schedule_recovered}: every kernel re-runs on the host at
+    the policy's [fallback_slowdown], behind the lost device time.
+    Transfers vanish (the data is already host resident). *)
+let schedule_recovered ?obs ?(params = default_params) (cfg : Config.t) events
+    =
   let slowdown = cfg.Config.fault.Fault.policy.Fault.fallback_slowdown in
-  List.iteri
-    (fun i (ev : Minic.Interp.event) ->
-      match ev with
-      | Minic.Interp.Ev_kernel { work; _ } ->
-          let id =
-            Task.add b ~deps:!prev
-              ~label:(Printf.sprintf "cpu-fallback#%d" i)
-              ~resource:Task.Cpu_exec ~kind:Obs.Retry
-              ~duration:
-                (float_of_int work *. params.seconds_per_stmt *. slowdown)
-              ()
-          in
-          prev := [ id ]
-      | _ -> ())
-    events;
-  Task.tasks b
-
-(** Like {!schedule}, but a device declared dead is recovered on the
-    CPU when the policy allows it: the whole program re-runs host-side
-    at [fallback_slowdown], with the lost device time charged up
-    front.  Without [cpu_fallback] the death re-escapes. *)
-let schedule_recovered ?obs ?params (cfg : Config.t) events =
-  match Fault.fleet_of ?obs ~devices:cfg.Config.devices cfg.Config.fault with
-  | None ->
-      {
-        r_result = Engine.schedule ?obs (tasks ?obs ?params cfg events);
-        r_fellback = false;
-        r_died_at = None;
-      }
-  | Some fleet -> (
-      let plan = Fault.fleet_plan fleet ~dev:0 in
-      try
-        {
-          r_result =
-            Engine.schedule ?obs ~faults:fleet
-              (tasks ?obs ~plan ?params cfg events);
-          r_fellback = false;
-          r_died_at = None;
-        }
-      with Fault.Device_dead { dev; at; failures } ->
-        if not (Fault.policy plan).Fault.cpu_fallback then
-          raise (Fault.Device_dead { dev; at; failures })
-        else begin
-          Fault.note_fallback plan;
-          let fb = fallback_tasks ?params cfg ~died_at:at events in
-          {
-            r_result = Engine.schedule ?obs fb;
-            r_fellback = true;
-            r_died_at = Some at;
-          }
-        end)
+  Engine.schedule_recovered ?obs cfg.Config.fault
+    (fun plan -> tasks ?obs ?plan ~params cfg events)
+    ~fallback:
+      (lazy
+        (List.concat
+           (List.mapi
+              (fun i (ev : Minic.Interp.event) ->
+                match ev with
+                | Minic.Interp.Ev_kernel { work; _ } ->
+                    [
+                      ( Printf.sprintf "cpu-fallback#%d" i,
+                        float_of_int work *. params.seconds_per_stmt
+                        *. slowdown );
+                    ]
+                | _ -> [])
+              events)))
 
 (** Interpret a program and replay its trace; returns the outcome and
     the schedule.  Raises on interpreter errors. *)

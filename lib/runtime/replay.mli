@@ -44,22 +44,17 @@ val schedule :
     An unrecoverable device death escapes as {!Fault.Device_dead} —
     use {!schedule_recovered} to absorb it. *)
 
-type recovered = {
-  r_result : Machine.Engine.result;
-  r_fellback : bool;  (** the device died and the CPU took over *)
-  r_died_at : float option;  (** when the device was declared dead *)
-}
-
 val schedule_recovered :
   ?obs:Obs.t ->
   ?params:params ->
   Machine.Config.t ->
   Minic.Interp.event list ->
-  recovered
-(** Like {!schedule}, but a device declared dead is recovered on the
-    CPU when the policy allows it: the whole program re-runs host-side
-    at the policy's [fallback_slowdown], with the lost device time
-    charged up front.  Without [cpu_fallback] the death re-escapes. *)
+  Machine.Engine.recovered
+(** Like {!schedule}, but device death goes through
+    {!Machine.Engine.schedule_recovered}: when the policy allows
+    [cpu_fallback], every kernel re-runs host-side at the policy's
+    [fallback_slowdown], with the lost device time charged up front.
+    Without [cpu_fallback] the death re-escapes. *)
 
 val makespan :
   ?params:params -> Machine.Config.t -> Minic.Interp.event list -> float

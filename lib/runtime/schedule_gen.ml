@@ -21,26 +21,13 @@ let cpu_compute (cfg : Machine.Config.t) (s : P.shape) =
 
 (** Task graph for one (shape, strategy).  The graph covers the
     offloadable part of the application only; [host_serial_s] is added
-    by {!total_time}.
-
-    [?alive] restricts placement to the listed devices (default: all
-    of [cfg.devices]); the migration ladder of {!schedule_recovered}
-    shrinks it as devices die.  Streaming spreads its blocks
-    round-robin over every alive (device, stream) unit; the other
-    strategies run on the first alive device. *)
-let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
-    Task.t list =
+    by {!total_time}.  Everything runs on device 0: multi-device
+    placement is {!Migrate}'s job. *)
+let tasks ?obs cfg (shape : P.shape) (strategy : P.strategy) : Task.t list =
   let b = Task.builder () in
-  let alive =
-    match alive with
-    | Some (_ :: _ as l) -> List.sort_uniq compare l
-    | Some [] | None ->
-        List.init (max 1 cfg.Machine.Config.devices) Fun.id
-  in
-  let dev0 = List.hd alive in
-  let mic = Task.Mic_exec (dev0, 0) in
-  let h2d = Task.Pcie_h2d dev0 in
-  let d2h = Task.Pcie_d2h dev0 in
+  let mic = Task.Mic_exec (0, 0) in
+  let h2d = Task.Pcie_h2d 0 in
+  let d2h = Task.Pcie_d2h 0 in
   (* half-duplex links serialize both directions on one channel (per
      device); the observability kind survives the remap, so d2h
      traffic is still accounted as d2h *)
@@ -182,23 +169,9 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
            ())
   | P.Streamed { nblocks; double_buffered; persistent; repack } ->
       (* streamed pipeline per offload instance, chained across the
-         outer structure like the naive schedule.  Blocks round-robin
-         over every alive (device, stream) unit: consecutive blocks
-         land on distinct devices (spreading the PCIe load), streams
-         of one device partition its cores (a stream's kernel is
-         [streams] times slower) but contend for the device's one
-         link.  One unit — the classic machine — reproduces the
-         historic single-device graph exactly. *)
-      let grid =
-        Array.of_list
-          (P.placements ~alive ~streams:cfg.Machine.Config.streams)
-      in
-      let nunits = Array.length grid in
+         outer structure like the naive schedule *)
       let n = max 1 nblocks in
-      let compute_blk =
-        mic_compute cfg shape /. float_of_int n
-        *. float_of_int (max 1 cfg.Machine.Config.streams)
-      in
+      let compute_blk = mic_compute cfg shape /. float_of_int n in
       let in_blk = shape.bytes_in /. float_of_int n in
       let out_blk = shape.bytes_out /. float_of_int n in
       (* one model evaluation here; the per-block signal/launch events
@@ -207,50 +180,30 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
         if persistent then Cost.signal_time ?obs cfg
         else Cost.launch_time ?obs cfg
       in
-      (* the invariant data goes whole to every alive device, once,
-         before everything; each unit's persistent kernel is launched
-         once, after its own device's copy has landed *)
-      let inv_ids =
+      (* the invariant data goes up once, before everything; the
+         persistent kernel is launched once, after it has landed *)
+      let inv =
         if shape.invariant_bytes > 0. then
-          List.map
-            (fun d ->
-              ( d,
-                add
-                  ~label:
-                    (if nunits = 1 then "h2d invariant"
-                     else Printf.sprintf "h2d invariant d%d" d)
-                  ~resource:(Task.Pcie_h2d d) ~kind:Obs.H2d
-                  ~bytes:shape.invariant_bytes
-                  ~duration:
-                    (Cost.transfer_time ?obs cfg Cost.H2d
-                       ~bytes:shape.invariant_bytes)
-                  () ))
-            alive
+          [
+            add ~label:"h2d invariant" ~resource:h2d ~kind:Obs.H2d
+              ~bytes:shape.invariant_bytes
+              ~duration:
+                (Cost.transfer_time ?obs cfg Cost.H2d
+                   ~bytes:shape.invariant_bytes)
+              ();
+          ]
         else []
       in
-      let inv_of d =
-        List.filter_map
-          (fun (d', id) -> if d' = d then Some id else None)
-          inv_ids
-      in
-      let pre0 = List.map snd inv_ids in
       let pre0 =
-        if persistent then
-          Array.to_list
-            (Array.map
-               (fun (d, s) ->
-                 bump "runtime.launches";
-                 add ~deps:(inv_of d)
-                   ~label:
-                     (if nunits = 1 then "launch persistent"
-                      else Printf.sprintf "launch persistent u%d.%d" d s)
-                   ~resource:(Task.Mic_exec (d, s))
-                   ~kind:Obs.Launch
-                   ~duration:(Cost.launch_time ?obs cfg)
-                   ())
-               grid)
-          @ pre0
-        else pre0
+        if persistent then begin
+          bump "runtime.launches";
+          add ~deps:inv ~label:"launch persistent" ~resource:mic
+            ~kind:Obs.Launch
+            ~duration:(Cost.launch_time ?obs cfg)
+            ()
+          :: inv
+        end
+        else inv
       in
       let prev = ref pre0 in
       for r = 0 to shape.outer_repeats - 1 do
@@ -259,7 +212,6 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
           let out_ids = ref [] in
           let repack_prev = ref [] in
           for blk = 0 to n - 1 do
-            let ud, us = grid.(blk mod nunits) in
             (* host-side regularization of this block, if any *)
             let repack_dep =
               match repack with
@@ -283,34 +235,29 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
                   repack_prev := [ id ];
                   [ id ]
             in
-            (* double buffering: each unit holds two buffers, so block
-               b's transfer reuses the buffer of the unit's
-               previous-but-one block and must wait for its kernel *)
+            (* double buffering: block b's transfer reuses the buffer
+               of block b-2 and must wait for its kernel *)
             let buffer_dep =
-              if double_buffered && blk >= 2 * nunits then
-                [ kernel_ids.(blk - (2 * nunits)) ]
+              if double_buffered && blk >= 2 then [ kernel_ids.(blk - 2) ]
               else []
             in
             let t_in =
               add
                 ~deps:(!prev @ repack_dep @ buffer_dep)
                 ~label:(Printf.sprintf "h2d r%d.%d b%d" r j blk)
-                ~resource:(Task.Pcie_h2d ud) ~kind:Obs.H2d ~bytes:in_blk
+                ~resource:h2d ~kind:Obs.H2d ~bytes:in_blk
                 ~duration:(Cost.transfer_time ?obs cfg Cost.H2d ~bytes:in_blk)
                 ()
             in
-            (* blocks within one unit serialize in issue order *)
+            (* blocks serialize on the device in issue order *)
             let k_deps =
-              t_in
-              :: (if blk >= nunits then [ kernel_ids.(blk - nunits) ]
-                  else [])
+              t_in :: (if blk >= 1 then [ kernel_ids.(blk - 1) ] else [])
             in
             bump (if persistent then "runtime.signals" else "runtime.launches");
             let t_k =
               add ~deps:k_deps
                 ~label:(Printf.sprintf "kernel r%d.%d b%d" r j blk)
-                ~resource:(Task.Mic_exec (ud, us))
-                ~kind:Obs.Kernel
+                ~resource:mic ~kind:Obs.Kernel
                 ~duration:(per_block_overhead +. compute_blk)
                 ()
             in
@@ -318,7 +265,7 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
             let t_out =
               add ~deps:[ t_k ]
                 ~label:(Printf.sprintf "d2h r%d.%d b%d" r j blk)
-                ~resource:(Task.Pcie_d2h ud) ~kind:Obs.D2h ~bytes:out_blk
+                ~resource:d2h ~kind:Obs.D2h ~bytes:out_blk
                 ~duration:(Cost.transfer_time ?obs cfg Cost.D2h ~bytes:out_blk)
                 ()
             in
@@ -432,9 +379,8 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
 
 (** Full schedule, for tracing.  When [cfg.fault] is a live fault
     plan, transfer retries and device resets are injected by the
-    engine (each device consulting its own plan); an unrecoverable
-    device death escapes as {!Fault.Device_dead} — use
-    {!schedule_recovered} to absorb it by migration / fallback. *)
+    engine; an unrecoverable device death escapes as
+    {!Fault.Device_dead} — use {!schedule_recovered} to absorb it. *)
 let schedule ?obs (cfg : Machine.Config.t) shape strategy =
   let faults =
     Fault.fleet_of ?obs ~devices:cfg.Machine.Config.devices
@@ -450,130 +396,12 @@ let region_time ?obs cfg shape strategy =
 let total_time ?obs cfg (shape : P.shape) strategy =
   shape.host_serial_s +. region_time ?obs cfg shape strategy
 
-type recovered = {
-  rec_result : Engine.result;
-  rec_fellback : bool;  (** every device died and the CPU took over *)
-  rec_died_at : float option;  (** when the first device died *)
-  rec_migrated : int;
-      (** blocks re-run on surviving devices across all migrations *)
-  rec_dead : int list;  (** devices declared dead, in death order *)
-}
-
-(* kernel blocks in a task graph: what a migration re-runs *)
-let kernel_blocks ts =
-  List.length
-    (List.filter
-       (fun (t : Task.t) ->
-         match t.Task.resource with
-         | Task.Mic_exec _ -> t.Task.kind = Some Obs.Kernel
-         | _ -> false)
-       ts)
-
-(* charge already-lost wall-clock time as a host-side Retry prefix
-   that every root of the graph waits on *)
-let with_lost_prefix ts ~label ~lost =
-  if lost <= 0. then ts
-  else
-    let lid =
-      1 + List.fold_left (fun a (t : Task.t) -> max a t.Task.id) (-1) ts
-    in
-    {
-      Task.id = lid;
-      label;
-      resource = Task.Cpu_exec;
-      duration = lost;
-      deps = [];
-      kind = Some Obs.Retry;
-      bytes = 0.;
-      reset_xfer_s = 0.;
-    }
-    :: List.map
-         (fun (t : Task.t) ->
-           if t.Task.deps = [] then { t with Task.deps = [ lid ] } else t)
-         ts
-
-(** Like {!schedule}, but device death walks the degradation ladder
-    instead of escaping: when a device is declared dead, the wall
-    clock it burnt is charged up front and the region's blocks re-run
-    on the surviving devices (bumping [fault.migrated_blocks] and
-    [fault.dead_devices]); only when {e every} device has died does
-    the host take over, re-running the region as [Host_parallel] —
-    and without [cpu_fallback] that final death re-escapes.  Each
-    migration instantiates a fresh fleet, so surviving devices keep
-    their own (per-instance) fault plans. *)
+(** Like {!schedule}, but a device declared dead is absorbed by
+    {!Engine.schedule_recovered}: the host re-runs the whole region as
+    [Host_parallel] behind the lost device time. *)
 let schedule_recovered ?obs (cfg : Machine.Config.t) shape strategy =
-  let spec = cfg.Machine.Config.fault in
-  let devices = max 1 cfg.Machine.Config.devices in
-  if Fault.is_none spec then
-    {
-      rec_result = Engine.schedule ?obs (tasks ?obs cfg shape strategy);
-      rec_fellback = false;
-      rec_died_at = None;
-      rec_migrated = 0;
-      rec_dead = [];
-    }
-  else
-    let bump ?(by = 1) name =
-      match obs with None -> () | Some o -> Obs.incr ~by o name
-    in
-    let rec attempt alive ~lost ~first_death ~migrated ~dead =
-      let fleet = Fault.fleet ?obs ~devices spec in
-      let body = tasks ?obs ~alive cfg shape strategy in
-      let migrated =
-        if dead = [] then migrated
-        else begin
-          let blocks = kernel_blocks body in
-          bump ~by:blocks "fault.migrated_blocks";
-          migrated + blocks
-        end
-      in
-      let ts = with_lost_prefix body ~label:"migrated (lost work)" ~lost in
-      try
-        {
-          rec_result = Engine.schedule ?obs ~faults:fleet ts;
-          rec_fellback = false;
-          rec_died_at = first_death;
-          rec_migrated = migrated;
-          rec_dead = dead;
-        }
-      with Fault.Device_dead { dev; at; failures } ->
-        bump "fault.dead_devices";
-        let survivors = List.filter (fun d -> d <> dev) alive in
-        let first_death =
-          match first_death with Some _ as s -> s | None -> Some at
-        in
-        let dead = dead @ [ dev ] in
-        if survivors <> [] then
-          attempt survivors ~lost:(lost +. at) ~first_death ~migrated ~dead
-        else if not spec.Fault.policy.Fault.cpu_fallback then
-          raise (Fault.Device_dead { dev; at; failures })
-        else begin
-          Fault.note_fallback (Fault.fleet_plan fleet ~dev);
-          let clean = { cfg with Machine.Config.fault = Fault.none } in
-          let b = Task.builder () in
-          let l =
-            Task.add b ~label:"device-dead (lost work)"
-              ~resource:Task.Cpu_exec ~kind:Obs.Retry
-              ~duration:(lost +. at) ()
-          in
-          ignore
-            (Task.add b ~deps:[ l ] ~label:"cpu fallback"
-               ~resource:Task.Cpu_exec ~kind:Obs.Retry
-               ~duration:(region_time clean shape P.Host_parallel)
-               ());
-          {
-            rec_result = Engine.schedule ?obs (Task.tasks b);
-            rec_fellback = true;
-            rec_died_at = first_death;
-            rec_migrated = migrated;
-            rec_dead = dead;
-          }
-        end
-    in
-    attempt
-      (List.init devices Fun.id)
-      ~lost:0. ~first_death:None ~migrated:0 ~dead:[]
-
-(** Region makespan with device death absorbed by the CPU fallback. *)
-let recovered_region_time ?obs cfg shape strategy =
-  (schedule_recovered ?obs cfg shape strategy).rec_result.Engine.makespan
+  let clean = { cfg with Machine.Config.fault = Fault.none } in
+  Engine.schedule_recovered ?obs cfg.Machine.Config.fault
+    (fun _ -> tasks ?obs cfg shape strategy)
+    ~fallback:
+      (lazy [ ("cpu fallback", region_time clean shape P.Host_parallel) ])

@@ -11,7 +11,6 @@ val cpu_compute : Machine.Config.t -> Plan.shape -> float
 
 val tasks :
   ?obs:Obs.t ->
-  ?alive:int list ->
   Machine.Config.t ->
   Plan.shape ->
   Plan.strategy ->
@@ -20,10 +19,8 @@ val tasks :
     by {!total_time}).  Every task is tagged with its observability
     kind and byte payload; with [?obs], launches/signals/faults are
     counted ([runtime.*]) and the cost-model evaluations recorded.
-    [?alive] restricts placement to the listed devices (default: all
-    of [cfg.devices]): streaming round-robins its blocks over every
-    alive (device, stream) unit, the other strategies run on the
-    first alive device. *)
+    Everything runs on device 0: this is a single-device lowering, and
+    multi-device placement is {!Migrate}'s job. *)
 
 val region_time :
   ?obs:Obs.t -> Machine.Config.t -> Plan.shape -> Plan.strategy -> float
@@ -46,29 +43,15 @@ val schedule :
     engine records one span per placed task.  Injects [cfg.fault] like
     {!region_time}. *)
 
-type recovered = {
-  rec_result : Machine.Engine.result;
-  rec_fellback : bool;  (** every device died and the CPU took over *)
-  rec_died_at : float option;  (** when the first device died *)
-  rec_migrated : int;
-      (** blocks re-run on surviving devices across all migrations *)
-  rec_dead : int list;  (** devices declared dead, in death order *)
-}
-
 val schedule_recovered :
   ?obs:Obs.t ->
   Machine.Config.t ->
   Plan.shape ->
   Plan.strategy ->
-  recovered
-(** Like {!schedule}, but device death walks the degradation ladder
-    instead of escaping: a dead device's burnt wall clock is charged
-    up front and the region's blocks re-run on the surviving devices
-    ([fault.migrated_blocks], [fault.dead_devices]); only when every
-    device has died does the host take over ([Host_parallel] re-run at
-    the fallback cost).  Without [cpu_fallback] the final death
-    re-escapes as {!Fault.Device_dead}. *)
-
-val recovered_region_time :
-  ?obs:Obs.t -> Machine.Config.t -> Plan.shape -> Plan.strategy -> float
-(** Region makespan with device death absorbed by the CPU fallback. *)
+  Machine.Engine.recovered
+(** Like {!schedule}, but device death goes through
+    {!Machine.Engine.schedule_recovered}: when the policy allows
+    [cpu_fallback], the host re-runs the region as [Host_parallel] (on
+    a fault-free machine, so [slowdown=F] has no effect here) behind
+    the lost device time.  Without [cpu_fallback] the death re-escapes
+    as {!Fault.Device_dead}. *)
