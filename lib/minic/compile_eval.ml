@@ -1333,9 +1333,11 @@ let exec ?(fuel = 10_000_000) c = c.exec ~fuel
 (** {1 Compiled-program cache}
 
     Keyed by structural equality of the AST, domain-local (like
-    {!Transforms.Util.fresh}): each domain of the PR-4 pool gets its
-    own table, so parallel sweeps share compiled programs without
-    locks, and [check]'s N-variant runs compile each program once. *)
+    {!Transforms.Util.fresh}): each pool domain gets its own table, so
+    parallel sweeps share compiled programs without locks, and repeated
+    runs of one program compile it once.  Pool helpers persist across
+    calls, so a helper's table outlives any one sweep; programs that
+    run once ([Check.check_program]'s) bypass it with {!compile}. *)
 
 module Cache = Hashtbl.Make (struct
   type t = program

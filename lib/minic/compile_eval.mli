@@ -39,9 +39,12 @@ val run :
     {!Interp.run}, [Compiled] (the default) to {!run_compiled}. *)
 
 val compile_count : unit -> int
-(** Number of cache-miss compilations performed by the calling domain —
-    the cache, like [Transforms.Util.fresh], is domain-local state, so
-    the PR-4 domain pool never contends on it. *)
+(** Number of cache-miss compilations performed by the calling domain
+    since it started.  The cache, like [Transforms.Util.fresh], is
+    domain-local state, so the domain pool never contends on it; pool
+    helpers persist, so on a helper both the count and the cached
+    programs carry over from one [Parallel.run] call to the next.
+    {!compile} bypasses the cache and is not counted. *)
 
 (** Request-shared front-end cache, keyed by raw source text.
 

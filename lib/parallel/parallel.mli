@@ -1,19 +1,32 @@
-(** Bounded domain pool for embarrassingly parallel sweeps.
+(** Persistent domain pool for embarrassingly parallel sweeps.
 
     Every sweep surface (the [bench] registry sweeps, [compc check
-    --runs N], the fault grids) is a list of independent tasks whose
-    results are printed in submission order.  This module runs such a
-    list on OCaml 5 domains while keeping the output {e bit-identical}
-    to the sequential run:
+    --runs N], the fault grids, the tuner's batches, the serve
+    dispatcher) is a list of independent tasks whose results are
+    printed in submission order.  This module runs such a list on
+    OCaml 5 domains while keeping the output {e bit-identical} to the
+    sequential run:
 
     - tasks are indexed at submission; results land in a slot per
       index and are returned in submission order, whatever the
       completion order;
-    - [jobs = 1] executes inline on the calling domain — no domains
-      are spawned, so it is byte-for-byte the sequential run;
+    - [jobs = 1] executes inline on the calling domain — no helper is
+      involved, so it is byte-for-byte the sequential run;
     - a task exception is captured per slot and re-raised on the
       calling domain for the {e lowest} failing index, so the failure
       a caller observes does not depend on scheduling either.
+
+    The calling domain runs tasks too.  Helper domains are spawned the
+    first time a call needs more than exist, park between calls, and
+    are reused by every later call from any domain; they are never
+    joined and never exit.  Consequences for tasks:
+
+    - {!Domain.DLS} state a task leaves on a helper outlives the call
+      (the per-domain compile cache of [Minic.Compile_eval], for one),
+      so per-call state must be reset by the task that relies on it;
+    - tasks must not print, and must not rely on [Domain.at_exit];
+    - while helpers exist, [Unix.fork] is refused by the OCaml 5
+      runtime.
 
     Tasks must not share mutable state; give each task its own
     {!Obs.t} sink and merge the sinks in submission order afterwards
@@ -28,10 +41,14 @@ val jobs_of : int option -> int
     {!default_jobs}[ ()]. *)
 
 val run : ?jobs:int -> int -> (int -> 'a) -> 'a list
-(** [run ~jobs n f] computes [[f 0; f 1; ...; f (n-1)]] on a pool of
-    [min jobs n] domains and returns the results in index order.  If
-    any task raised, the exception of the lowest failing index is
-    re-raised after all workers have joined. *)
+(** [run ~jobs n f] computes [[f 0; f 1; ...; f (n-1)]] on the calling
+    domain plus at most [min jobs n - 1] helpers, and returns the
+    results in index order.  Fewer helpers take part when the others
+    are busy, or when the runtime refuses to spawn more domains; the
+    caller can always finish the job alone, so nested and concurrent
+    calls cannot deadlock.  If any task raised, the exception of the
+    lowest failing index is re-raised after every task has
+    finished. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] with the applications run on

@@ -154,6 +154,46 @@ let diff_tests =
                  r.sites
                  (Check.verdict_str r.verdict))
           (Check.check_program prog));
+    tc "check_program equals per-transform apply then equiv" (fun () ->
+        (* the oracle's definition: each transform applied alone, its
+           rewrite judged by [equiv] against a fresh run of the
+           original *)
+        let by_definition ~engine ~inject p =
+          List.map
+            (fun txf ->
+              let p', sites = Check.apply txf p in
+              if sites = 0 then
+                { Check.transform = txf; sites; verdict = Check.Equal }
+              else
+                let p' = if inject then Check.Inject.corrupt p' else p' in
+                { Check.transform = txf; sites; verdict = Check.equiv ~engine p p' })
+            Check.all_transforms
+        in
+        List.iter
+          (fun pat ->
+            for seed = 0 to 3 do
+              let p = parse_gen pat seed in
+              List.iter
+                (fun (engine, inject) ->
+                  if
+                    Check.check_program ~engine ~inject p
+                    <> by_definition ~engine ~inject p
+                  then
+                    Alcotest.failf "%s seed=%d engine=%s inject=%b differs"
+                      (Check.Genprog.pattern_name pat)
+                      seed
+                      (match engine with
+                      | Minic.Interp.Compiled -> "compiled"
+                      | Minic.Interp.Reference -> "reference")
+                      inject)
+                [
+                  (Minic.Interp.Compiled, false);
+                  (Minic.Interp.Compiled, true);
+                  (Minic.Interp.Reference, false);
+                  (Minic.Interp.Reference, true);
+                ]
+            done)
+          Check.Genprog.all_patterns);
   ]
 
 (* {1 Fault injection and shrinking} *)

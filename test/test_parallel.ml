@@ -57,16 +57,62 @@ let suite =
     tc "lowest failing index wins, whatever the width" (fun () ->
         List.iter
           (fun jobs ->
-            match
-              Parallel.run ~jobs 32 (fun i ->
-                  if i mod 5 = 2 then failwith (string_of_int i) else i)
-            with
+            (match
+               Parallel.run ~jobs 32 (fun i ->
+                   if i mod 5 = 2 then failwith (string_of_int i) else i)
+             with
             | exception Failure s ->
                 Alcotest.(check string)
                   (Printf.sprintf "jobs=%d" jobs)
                   "2" s
-            | _ -> Alcotest.fail "expected Failure")
+            | _ -> Alcotest.fail "expected Failure");
+            (* the helpers that ran the raising tasks serve the next run *)
+            Alcotest.(check (list int))
+              (Printf.sprintf "next run at jobs=%d" jobs)
+              (squares 32)
+              (Parallel.run ~jobs 32 (fun i -> i * i)))
           [ 1; 2; 4; 8 ]);
+    tc "helpers are reused across calls" (fun () ->
+        (* no call in this test binary is wider than 8 or the default
+           width, so the caller plus the helpers ever spawned are at
+           most [widest] domains, however many calls are made *)
+        let widest = max 8 (Parallel.default_jobs ()) in
+        let ids = Hashtbl.create 16 in
+        for _ = 1 to 50 do
+          List.iter
+            (fun id -> Hashtbl.replace ids id ())
+            (Parallel.run ~jobs:2 8 (fun _ -> (Domain.self () :> int)))
+        done;
+        Alcotest.(check bool)
+          (Printf.sprintf "%d distinct domains over 50 calls"
+             (Hashtbl.length ids))
+          true
+          (Hashtbl.length ids <= widest));
+    tc "nested calls return the right lists" (fun () ->
+        let inner i = List.init 5 (fun j -> (10 * i) + j) in
+        List.iter
+          (fun outer ->
+            Alcotest.(check (list (list int)))
+              (Printf.sprintf "outer jobs=%d" outer)
+              (List.init 6 inner)
+              (Parallel.run ~jobs:outer 6 (fun i ->
+                   Parallel.run ~jobs:3 5 (fun j -> (10 * i) + j))))
+          [ 2; 4 ]);
+    tc "concurrent callers on two domains" (fun () ->
+        let caller k () =
+          let bad = ref 0 in
+          for c = 1 to 500 do
+            if
+              Parallel.run ~jobs:2 8 (fun i -> (k * i) + c)
+              <> List.init 8 (fun i -> (k * i) + c)
+            then incr bad
+          done;
+          !bad
+        in
+        let a = Domain.spawn (caller 3) and b = Domain.spawn (caller 5) in
+        Alcotest.(check (pair int int))
+          "wrong results" (0, 0)
+          (Domain.join a, Domain.join b));
     tc "COMP_JOBS sets the default width" (fun () ->
         Unix.putenv "COMP_JOBS" "3";
         Alcotest.(check int) "set" 3 (Parallel.default_jobs ());
