@@ -45,6 +45,13 @@ let die_usage msg =
 
 let or_die = function Ok v -> v | Error msg -> die_usage msg
 
+(* a runtime error in the input program: message on stderr, exit 1 *)
+let die_runtime msg =
+  Printf.eprintf "runtime error: %s\n" msg;
+  exit 1
+
+let or_die_runtime = function Ok v -> v | Error msg -> die_runtime msg
+
 (* a streamed program with no blocks divides by zero when it runs *)
 let check_nblocks ~cmd n =
   if n < 1 then
@@ -69,14 +76,14 @@ let faults_arg =
         ~doc:
           "Inject a deterministic fault plan: comma-separated $(b,seed=N), \
            $(b,xfer=P) (per-attempt transfer CRC-failure probability), \
-           $(b,xfer\\@I) / $(b,xfer\\@I*K) (force K failures at transfer I), \
-           $(b,kill\\@I) (transfer I fails every attempt), $(b,drop\\@TAG) / \
-           $(b,delay\\@TAG:SECS) (COI signal faults), $(b,reset\\@T) (device \
+           $(b,xfer@I) / $(b,xfer@I*K) (force K failures at transfer I), \
+           $(b,kill@I) (transfer I fails every attempt), $(b,drop@TAG) / \
+           $(b,delay@TAG:SECS) (COI signal faults), $(b,reset@T) (device \
            reset at time T), $(b,myo-stall=P:SECS), and recovery-policy \
            overrides $(b,retries=N), $(b,backoff=BASE:CEIL), $(b,timeout=T), \
            $(b,dead-after=N), $(b,fallback)/$(b,no-fallback), \
            $(b,slowdown=F), $(b,reset-cost=S).  A clause prefixed \
-           $(b,devN:) (e.g. $(b,dev1:kill\\@0)) applies only to device N \
+           $(b,devN:) (e.g. $(b,dev1:kill@0)) applies only to device N \
            of a multi-device run; unprefixed fault clauses apply to every \
            device, and policy/seed clauses are always global")
 
@@ -276,7 +283,9 @@ let optimize_cmd =
       if not auto then nblocks
       else begin
         let pre =
-          Tune.prepare_program ~max_devices:1 ~max_streams:1 ~name:file prog
+          or_die_runtime
+            (Tune.prepare_program ~max_devices:1 ~max_streams:1 ~name:file
+               prog)
         in
         let rep = Tune.run pre in
         Printf.eprintf
@@ -403,8 +412,9 @@ let run_cmd =
             scales
         in
         let pre =
-          Tune.prepare_program ~base ~max_devices:devices
-            ~max_streams:streams ~name:file prog
+          or_die_runtime
+            (Tune.prepare_program ~base ~max_devices:devices
+               ~max_streams:streams ~name:file prog)
         in
         let rep = Tune.run pre in
         let c = rep.Tune.r_best.Tune.pt_config in
@@ -500,9 +510,7 @@ let run_cmd =
           prerr_string (Machine.Trace.gantt ~width:64 r);
           Format.eprintf "%a" Machine.Trace.pp_summary r
         end
-    | Error e ->
-        Printf.eprintf "runtime error: %s\n" e;
-        exit 1
+    | Error e -> die_runtime e
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Interpret a MiniC program (dual-space reference)")
@@ -1375,9 +1383,7 @@ let profile_run ~faults ~engine file out =
   let prog = or_die (load file) in
   let obs = Obs.create () in
   match Minic.Compile_eval.run ~engine prog with
-  | Error e ->
-      Printf.eprintf "runtime error: %s\n" e;
-      exit 1
+  | Error e -> die_runtime e
   | Ok o ->
       let cfg = Machine.Config.with_faults Machine.Config.paper_default faults in
       let r =

@@ -95,8 +95,27 @@ type outcome = {
 (* one failed placement attempt ended in device death *)
 exception Died of { dev : int; at : float; failures : int }
 
-let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
-    outcome =
+(* a block's [ran_on] until it has executed; [-1] is the host *)
+let unplaced = -2
+
+(* The engine-task label of one busy interval: [what] is "" for the
+   work itself, "+recovery" for the recovery time charged after it, or
+   " (device died)" for the attempts a dying transfer burned. *)
+let label ~blk ~what = function
+  | Task.Mic_exec _ -> Printf.sprintf "blk%d kernel%s" blk what
+  | Task.Cpu_exec -> Printf.sprintf "blk%d cpu-fallback" blk
+  | (Task.Pcie_h2d _ | Task.Pcie_d2h _) as r ->
+      Printf.sprintf "blk%d %s%s" blk (Task.resource_name r) what
+
+(* The one placement loop behind [schedule] and [makespan].  Both make
+   the same placements, draw the same faults and bump the same
+   counters; only what they keep differs.  Every busy interval folds
+   its finish into a running maximum, the makespan.  With [keep] the
+   interval is also kept as a labelled engine placement, and the loop
+   ends by assembling the full {!outcome}; without it, no label,
+   placement record or busy table is ever built. *)
+let place_blocks ?obs ~params ~keep (cfg : Config.t) events :
+    float * outcome option =
   let devices = max 1 cfg.Config.devices in
   let streams = max 1 cfg.Config.streams in
   let blocks = Array.of_list (blocks_of_events events) in
@@ -119,35 +138,44 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
   let d2h_free = Array.make devices 0. in
   let unit_free = Array.make_matrix devices streams 0. in
   let host_free = ref 0. in
+  let latest = ref 0. in
   let placed = ref [] in
   let next_id = ref 0 in
   let bytes_moved = ref 0. in
-  let place ?(kind = Obs.Kernel) ?(bytes = 0.) ~label ~resource ~start
-      ~finish () =
-    let id = !next_id in
-    incr next_id;
-    placed :=
-      {
-        Engine.task =
-          {
-            Task.id;
-            label;
-            resource;
-            duration = finish -. start;
-            deps = [];
-            kind = Some kind;
-            bytes;
-            reset_xfer_s = 0.;
-          };
-        start;
-        finish;
-      }
-      :: !placed
+  let place ?(kind = Obs.Kernel) ?(bytes = 0.) ?(what = "") ~blk ~resource
+      ~start ~finish () =
+    latest := Float.max !latest finish;
+    if keep then begin
+      let id = !next_id in
+      incr next_id;
+      placed :=
+        {
+          Engine.task =
+            {
+              Task.id;
+              label = label ~blk ~what resource;
+              resource;
+              duration = finish -. start;
+              deps = [];
+              kind = Some kind;
+              bytes;
+              reset_xfer_s = 0.;
+            };
+          start;
+          finish;
+        }
+        :: !placed
+    end
   in
   (* migration bookkeeping *)
   let assigned = Array.make (max 1 n) (0, 0) in
   let migrations = Array.make (max 1 n) 0 in
-  let executed = Array.make (max 1 n) None in
+  (* where and when each block last executed; [ran_on] is [unplaced]
+     until it has (again, after a death rolled it back) *)
+  let ran_on = Array.make (max 1 n) unplaced in
+  let ran_stream = Array.make (max 1 n) 0 in
+  let ran_start = Array.make (max 1 n) 0. in
+  let ran_finish = Array.make (max 1 n) 0. in
   (* a block in flight when its device died restarts no earlier than
      the death: the time burned on the dead device is really lost *)
   let ready = Array.make (max 1 n) 0. in
@@ -187,7 +215,7 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
            *. float_of_int streams
       in
       for i = from_block to n - 1 do
-        if executed.(i) = None then begin
+        if ran_on.(i) = unplaced then begin
           let best = ref 0 in
           for u = 1 to Array.length units - 1 do
             if load.(u) < load.(!best) then best := u
@@ -211,7 +239,7 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
            *. float_of_int streams /. sc.Config.sc_cores
       in
       for i = from_block to n - 1 do
-        if executed.(i) = None then begin
+        if ran_on.(i) = unplaced then begin
           let b = blocks.(i) in
           let best = ref 0 in
           let best_eta = ref (load.(0) +. cost_on b (fst units.(0))) in
@@ -230,10 +258,10 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
   in
   if n > 0 then assign_all 0;
   (* a transfer on device [d]: consult its plan, charge retries and
-     recovery, move the channel's clock.  Raises [Died] when the
-     degradation policy gives up. *)
+     recovery, move the channel's clock, and return when it is done.
+     Raises [Died] when the degradation policy gives up. *)
   let transfer ~blk ~dev ~dir ~cells ~at_least =
-    if cells <= 0 then (at_least, 0.)
+    if cells <= 0 then at_least
     else begin
       let bytes = float_of_int cells *. params.Replay.bytes_per_cell in
       let chan, resource =
@@ -266,10 +294,8 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
               (* the dying attempts still put their bytes on the wire *)
               bytes_moved :=
                 !bytes_moved +. (float_of_int rep.Fault.xr_failures *. bytes);
-              place ~kind:Obs.Retry
-                ~label:(Printf.sprintf "blk%d %s (device died)" blk
-                          (Task.resource_name resource))
-                ~resource ~start ~finish:at ();
+              place ~kind:Obs.Retry ~what:" (device died)" ~blk ~resource
+                ~start ~finish:at ();
               raise
                 (Died { dev; at; failures = rep.Fault.xr_failures })
             end
@@ -281,19 +307,14 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
       let finish = start +. busy +. recovery in
       chan.(dev) <- finish;
       bytes_moved := !bytes_moved +. wire;
-      place ~kind ~bytes
-        ~label:
-          (Printf.sprintf "blk%d %s" blk (Task.resource_name resource))
-        ~resource ~start ~finish:(start +. busy) ();
+      place ~kind ~bytes ~blk ~resource ~start ~finish:(start +. busy) ();
       if recovery > 0. then
-        place ~kind:Obs.Retry
-          ~label:(Printf.sprintf "blk%d %s+recovery" blk
-                    (Task.resource_name resource))
-          ~resource ~start:(start +. busy) ~finish ();
-      (finish, busy +. recovery -. dur)
+        place ~kind:Obs.Retry ~what:"+recovery" ~blk ~resource
+          ~start:(start +. busy) ~finish ();
+      finish
     end
   in
-  (* run one block on its assigned unit; [home] is the device holding
+  (* run block [i] on its assigned unit; [home] is the device holding
      the resident pool (where the previous block ran) *)
   let exec_block i ~home =
     let b = blocks.(i) in
@@ -302,13 +323,13 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
        elsewhere (round-robin spread or migration off a dead device)
        re-pays their h2d transfer *)
     let repay =
-      if b.blk_resident_cells > 0 && home <> Some d then begin
+      if b.blk_resident_cells > 0 && home <> d then begin
         bump "fault.resident_repaid";
         b.blk_resident_cells
       end
       else 0
     in
-    let h2d_finish, _ =
+    let h2d_finish =
       transfer ~blk:b.blk_id ~dev:d ~dir:Cost.H2d
         ~cells:(b.blk_h2d_cells + repay) ~at_least:ready.(i)
     in
@@ -343,31 +364,20 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
     in
     let kfinish = kstart +. kbusy +. krecovery in
     unit_free.(d).(s) <- kfinish;
-    place ~kind:Obs.Kernel
-      ~label:(Printf.sprintf "blk%d kernel" b.blk_id)
-      ~resource:(Task.Mic_exec (d, s))
-      ~start:kstart ~finish:(kstart +. kbusy) ();
+    let resource = Task.Mic_exec (d, s) in
+    place ~kind:Obs.Kernel ~blk:b.blk_id ~resource ~start:kstart
+      ~finish:(kstart +. kbusy) ();
     if krecovery > 0. then
-      place ~kind:Obs.Retry
-        ~label:(Printf.sprintf "blk%d kernel+recovery" b.blk_id)
-        ~resource:(Task.Mic_exec (d, s))
+      place ~kind:Obs.Retry ~what:"+recovery" ~blk:b.blk_id ~resource
         ~start:(kstart +. kbusy) ~finish:kfinish ();
-    let finish, _ =
+    let finish =
       transfer ~blk:b.blk_id ~dev:d ~dir:Cost.D2h ~cells:b.blk_d2h_cells
         ~at_least:kfinish
     in
-    let finish = Float.max finish kfinish in
-    executed.(i) <-
-      Some
-        {
-          pl_block = b.blk_id;
-          pl_dev = d;
-          pl_stream = s;
-          pl_start = kstart;
-          pl_finish = finish;
-          pl_migrations = migrations.(i);
-        };
-    d
+    ran_on.(i) <- d;
+    ran_stream.(i) <- s;
+    ran_start.(i) <- kstart;
+    ran_finish.(i) <- Float.max finish kfinish
   in
   let migrated = ref 0 in
   let fellback = ref false in
@@ -375,7 +385,7 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
   let i = ref 0 in
   while !i < n do
     let d, _ = assigned.(!i) in
-    if executed.(!i) <> None then
+    if ran_on.(!i) <> unplaced then
       (* already placed (a survivor of an earlier death rollback) *)
       incr i
     else if not alive.(d) then
@@ -383,12 +393,9 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
       assign_all !i
     else
       (* resident inputs live where the previous block ran *)
-      let home =
-        if !i = 0 then None
-        else Option.map (fun p -> p.pl_dev) executed.(!i - 1)
-      in
+      let home = if !i = 0 then unplaced else ran_on.(!i - 1) in
       match exec_block !i ~home with
-      | _ -> incr i
+      | () -> incr i
       | exception Died { dev; at; failures } ->
           alive.(dev) <- false;
           dead := !dead @ [ (dev, at) ];
@@ -401,12 +408,11 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
              it back and re-run it elsewhere *)
           let restart = ref !i in
           for j = !i - 1 downto 0 do
-            match executed.(j) with
-            | Some p when p.pl_dev = dev && p.pl_finish > at +. 1e-9 ->
-                executed.(j) <- None;
-                ready.(j) <- Float.max ready.(j) at;
-                restart := j
-            | _ -> ()
+            if ran_on.(j) = dev && ran_finish.(j) > at +. 1e-9 then begin
+              ran_on.(j) <- unplaced;
+              ready.(j) <- Float.max ready.(j) at;
+              restart := j
+            end
           done;
           if List.exists (fun d -> alive.(d)) (List.init devices Fun.id)
           then begin
@@ -414,7 +420,7 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
                the dead device move to the survivors *)
             let requeued = ref 0 in
             for j = !restart to n - 1 do
-              if executed.(j) = None && fst assigned.(j) = dev then begin
+              if ran_on.(j) = unplaced && fst assigned.(j) = dev then begin
                 migrations.(j) <- migrations.(j) + 1;
                 incr requeued
               end
@@ -436,7 +442,7 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
             | None -> ());
             host_free := Float.max !host_free !last_death;
             for j = !restart to n - 1 do
-              if executed.(j) = None then begin
+              if ran_on.(j) = unplaced then begin
                 let bj = blocks.(j) in
                 let dur =
                   float_of_int bj.blk_work *. params.Replay.seconds_per_stmt
@@ -445,48 +451,51 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
                 let start = !host_free in
                 let finish = start +. dur in
                 host_free := finish;
-                place ~kind:Obs.Retry
-                  ~label:(Printf.sprintf "blk%d cpu-fallback" bj.blk_id)
-                  ~resource:Task.Cpu_exec ~start ~finish ();
-                executed.(j) <-
-                  Some
-                    {
-                      pl_block = bj.blk_id;
-                      pl_dev = -1;
-                      pl_stream = 0;
-                      pl_start = start;
-                      pl_finish = finish;
-                      pl_migrations = migrations.(j);
-                    }
+                place ~kind:Obs.Retry ~blk:bj.blk_id ~resource:Task.Cpu_exec
+                  ~start ~finish ();
+                ran_on.(j) <- -1;
+                ran_stream.(j) <- 0;
+                ran_start.(j) <- start;
+                ran_finish.(j) <- finish
               end
             done;
             i := n
           end
   done;
   bump ~by:n "migrate.blocks";
-  let placements =
-    Array.to_list
-      (Array.map
-         (function
-           | Some p -> p
-           | None -> invalid_arg "Migrate.schedule: unexecuted block")
-         (Array.sub executed 0 n))
+  let outcome () =
+    let placements =
+      List.init n (fun i ->
+          if ran_on.(i) = unplaced then
+            invalid_arg "Migrate.schedule: unexecuted block";
+          {
+            pl_block = blocks.(i).blk_id;
+            pl_dev = ran_on.(i);
+            pl_stream = ran_stream.(i);
+            pl_start = ran_start.(i);
+            pl_finish = ran_finish.(i);
+            pl_migrations = migrations.(i);
+          })
+    in
+    let completion =
+      List.sort
+        (fun (a : Engine.placed) b ->
+          compare (a.finish, a.task.Task.id) (b.finish, b.task.Task.id))
+        (List.rev !placed)
+    in
+    {
+      m_result = Engine.result_of_placed completion;
+      m_placements = placements;
+      m_migrated = !migrated;
+      m_dead = !dead;
+      m_fellback = !fellback;
+      m_bytes_moved = !bytes_moved;
+    }
   in
-  let completion =
-    List.sort
-      (fun (a : Engine.placed) b ->
-        compare (a.finish, a.task.Task.id) (b.finish, b.task.Task.id))
-      (List.rev !placed)
-  in
-  {
-    m_result = Engine.result_of_placed completion;
-    m_placements = placements;
-    m_migrated = !migrated;
-    m_dead = !dead;
-    m_fellback = !fellback;
-    m_bytes_moved = !bytes_moved;
-  }
+  (!latest, if keep then Some (outcome ()) else None)
 
-(** Makespan convenience. *)
-let makespan ?obs ?params cfg events =
-  (schedule ?obs ?params cfg events).m_result.Engine.makespan
+let schedule ?obs ?(params = Replay.default_params) cfg events =
+  Option.get (snd (place_blocks ?obs ~params ~keep:true cfg events))
+
+let makespan ?obs ?(params = Replay.default_params) cfg events =
+  fst (place_blocks ?obs ~params ~keep:false cfg events)

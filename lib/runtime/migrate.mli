@@ -58,3 +58,7 @@ val makespan :
   Machine.Config.t ->
   Minic.Interp.event list ->
   float
+(** [(schedule cfg events).m_result.makespan], bit for bit, with the
+    same [?obs] counters and the same {!Fault.Device_dead}; it runs the
+    same placement loop but computes only the makespan, building no
+    labelled schedule, placement list or busy table. *)

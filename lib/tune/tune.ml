@@ -278,11 +278,13 @@ let search ?jobs ?obs ?cache ?(cache_prefix = "") ?(mode = Auto)
 
 (** {1 Workload glue}
 
-    Preparing a workload runs the compiler once per candidate block
-    count, dedupes the resulting programs (many [nblocks] lower to the
-    same source), interprets each distinct program once for its event
-    trace, and hands the search an [eval]/[keyfn] pair over those
-    traces. *)
+    Preparing a workload lowers it once at {!Comp.default_nblocks}.
+    Data streaming is the only pass that reads the block count, so
+    when no streaming site applied, every candidate count shares that
+    one program.  Otherwise each remaining candidate is lowered and
+    the lowered programs are deduplicated on the AST.  Each distinct
+    program is interpreted once for its event trace, and the search
+    gets an [eval]/[keyfn] pair over those traces. *)
 
 (* the machine parameters a trace's replay cost depends on — part of
    every cross-search cache key *)
@@ -356,48 +358,73 @@ let seed_nblocks ?obs ?block_cache (cfg : Config.t) sp events =
   match best with None -> Comp.default_nblocks | Some (_, n) -> n
 
 let prepare_program ?(base = Config.paper_default) ?nblocks ?obs ?block_cache
-    ~max_devices ~max_streams ~name prog : prepared =
+    ~max_devices ~max_streams ~name prog : (prepared, string) result =
   let sp = space ?nblocks ~max_devices ~max_streams () in
-  let texts : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let traces = ref [] and ntraces = ref 0 in
-  let trace_of_nblocks =
-    List.map
-      (fun nb ->
-        let optimized, _ = Comp.optimize ~nblocks:nb prog in
-        let text = Minic.Pretty.program_to_string optimized in
-        match Hashtbl.find_opt texts text with
-        | Some idx -> (nb, idx)
-        | None ->
-            let events =
-              match Minic.Compile_eval.run_compiled optimized with
-              | Ok o -> o.Minic.Interp.events
-              | Error e -> failwith (Printf.sprintf "tune: %s: %s" name e)
+  let trace p =
+    Result.map
+      (fun (o : Minic.Interp.outcome) -> o.events)
+      (Minic.Compile_eval.run_compiled p)
+  in
+  let default_prog, applied =
+    Comp.optimize ~nblocks:Comp.default_nblocks prog
+  in
+  let traced =
+    if applied.Comp.streamed = 0 then
+      (* streaming is the only pass that reads the block count, and it
+         applied nowhere: every candidate lowers to this one program *)
+      Result.map
+        (fun events -> ([ events ], List.map (fun nb -> (nb, 0)) sp.sp_nblocks))
+        (trace default_prog)
+    else
+      (* lower each candidate, and trace each distinct program once, in
+         candidate order; the first runtime error ends the preparation *)
+      let rec go seen traces acc = function
+        | [] -> Ok (List.rev traces, List.rev acc)
+        | nb :: rest -> (
+            let p =
+              if nb = Comp.default_nblocks then default_prog
+              else fst (Comp.optimize ~nblocks:nb prog)
             in
-            let idx = !ntraces in
-            incr ntraces;
-            Hashtbl.add texts text idx;
-            traces := events :: !traces;
-            (nb, idx))
-      sp.sp_nblocks
+            match
+              List.find_opt (fun (q, _) -> Minic.Ast.equal_program p q) seen
+            with
+            | Some (_, idx) -> go seen traces ((nb, idx) :: acc) rest
+            | None -> (
+                match trace p with
+                | Error e -> Error e
+                | Ok events ->
+                    let idx = List.length traces in
+                    go ((p, idx) :: seen) (events :: traces)
+                      ((nb, idx) :: acc) rest))
+      in
+      go [] [] [] sp.sp_nblocks
   in
-  let traces = Array.of_list (List.rev !traces) in
-  let default_trace =
-    traces.(List.assoc Comp.default_nblocks trace_of_nblocks)
-  in
-  {
-    p_name = name;
-    p_base = base;
-    p_space = sp;
-    p_traces = traces;
-    p_trace_of_nblocks = trace_of_nblocks;
-    p_seed_nblocks = seed_nblocks ?obs ?block_cache base sp default_trace;
-  }
+  Result.map
+    (fun (traces, trace_of_nblocks) ->
+      let traces = Array.of_list traces in
+      let default_trace =
+        traces.(List.assoc Comp.default_nblocks trace_of_nblocks)
+      in
+      {
+        p_name = name;
+        p_base = base;
+        p_space = sp;
+        p_traces = traces;
+        p_trace_of_nblocks = trace_of_nblocks;
+        p_seed_nblocks = seed_nblocks ?obs ?block_cache base sp default_trace;
+      })
+    traced
 
 let prepare ?base ?nblocks ?obs ?block_cache ~max_devices ~max_streams
     (w : Workloads.Workload.t) : prepared =
-  prepare_program ?base ?nblocks ?obs ?block_cache ~max_devices ~max_streams
-    ~name:w.Workloads.Workload.name
-    (Workloads.Workload.program w)
+  let name = w.Workloads.Workload.name in
+  match
+    prepare_program ?base ?nblocks ?obs ?block_cache ~max_devices
+      ~max_streams ~name
+      (Workloads.Workload.program w)
+  with
+  | Ok p -> p
+  | Error e -> failwith (Printf.sprintf "tune: %s: %s" name e)
 
 let eval_config pre c =
   let cfg =

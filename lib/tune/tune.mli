@@ -118,11 +118,16 @@ val prepare_program :
   max_streams:int ->
   name:string ->
   Minic.Ast.program ->
-  prepared
-(** Compile the program once per candidate block count, dedupe the
-    lowered programs, interpret each distinct one for its trace, and
-    derive the analytic block-count seed (via the memoized
-    {!Transforms.Block_size.Cache}). *)
+  (prepared, string) result
+(** Lower the program once at {!Comp.default_nblocks}.  If no data
+    streaming site applied, every candidate block count maps to that
+    one program, because streaming is the only pass that reads the
+    count.  Otherwise lower each remaining candidate and deduplicate
+    the lowered programs on the AST.  Interpret each distinct program
+    once for its trace, and derive the analytic block-count seed (via
+    the memoized {!Transforms.Block_size.Cache}).  [Error msg] is the
+    interpreter's runtime error for the first candidate, in block-count
+    order, whose program fails. *)
 
 val prepare :
   ?base:Machine.Config.t ->
@@ -133,7 +138,8 @@ val prepare :
   max_streams:int ->
   Workloads.Workload.t ->
   prepared
-(** {!prepare_program} on a registry workload's kernel source. *)
+(** {!prepare_program} on a registry workload's kernel source.
+    Registry kernels always run, so a runtime error raises [Failure]. *)
 
 val eval_config : prepared -> config -> float
 (** Makespan of one candidate: {!Runtime.Migrate.makespan} of the

@@ -1,6 +1,8 @@
 (* The auto-tuner: fleet-spec grammar, search determinism and
-   optimality invariants, heterogeneous placement, and the memoized
-   block-size chooser. *)
+   optimality invariants, heterogeneous placement, the memoized
+   block-size chooser, and parity of the tuner's two fast paths
+   (makespan-only replay, lower-once preparation) with the work they
+   replaced. *)
 
 open Helpers
 module Config = Machine.Config
@@ -193,12 +195,15 @@ let test_hetero_avoids_slow_device () =
 (* Heterogeneous replay                                               *)
 (* ------------------------------------------------------------------ *)
 
-let trace_of name =
-  let w = Workloads.Registry.find_exn name in
-  let prog, _ = Comp.optimize (Workloads.Workload.program w) in
+(* the program's event trace; fails the test on a runtime error *)
+let events_of name prog =
   match Minic.Compile_eval.run_compiled prog with
   | Ok r -> r.Minic.Interp.events
   | Error e -> Alcotest.failf "%s: %s" name e
+
+let trace_of name =
+  let w = Workloads.Registry.find_exn name in
+  events_of name (fst (Comp.optimize (Workloads.Workload.program w)))
 
 let test_unit_scales_bitwise_neutral () =
   (* explicit all-1.0 scales must replay bit-identically to no scales
@@ -302,6 +307,228 @@ let test_tune_cache_shared () =
       Alcotest.failf "expected >= %d cache hits, got %s" r1.Tune.r_explored
         (match h with Some h -> string_of_int h | None -> "none")
 
+(* ------------------------------------------------------------------ *)
+(* Parity: Migrate.makespan against Migrate.schedule                  *)
+(* ------------------------------------------------------------------ *)
+
+(* the benchmark's two fleets *)
+let bench_fleets =
+  [
+    "devices=4,streams=2";
+    "devices=4,streams=2,dev1:cores=0.5,bw=0.5,dev3:cores=0.25,bw=0.25";
+  ]
+
+let fault_ok spec =
+  match Fault.parse spec with
+  | Ok f -> f
+  | Error e -> Alcotest.failf "%S: %s" spec (Fault.error_message e)
+
+let obs_json o = Obs.Json.to_string (Obs.to_json o)
+
+(* one entry point's verdict on a machine and trace: the makespan's
+   bits, or the device death it raised, plus everything it recorded *)
+let verdict f =
+  let obs = Obs.create () in
+  let v =
+    match f ~obs with
+    | m -> Ok (Int64.bits_of_float m)
+    | exception Fault.Device_dead { dev; at; failures } ->
+        Error (dev, Int64.bits_of_float at, failures)
+  in
+  (v, obs_json obs)
+
+let test_makespan_parity () =
+  let evals = ref 0 and deaths = ref 0 and repaid = ref 0 in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let name = w.Workloads.Workload.name in
+      (* a residency-lowered trace too: its nocopy inputs are what a
+         placement on another device re-pays *)
+      let resident =
+        events_of name
+          (fst (Comp.optimize ~residency:true (Workloads.Workload.program w)))
+      in
+      List.iter
+        (fun fleet_spec ->
+          let fleet = fleet_ok fleet_spec in
+          let base =
+            Config.with_scales Config.paper_default fleet.Fleet.f_scales
+          in
+          let pre =
+            Tune.prepare ~base ~max_devices:fleet.Fleet.f_devices
+              ~max_streams:fleet.Fleet.f_streams w
+          in
+          let traces =
+            List.map
+              (fun (nb, t) -> (Printf.sprintf "nb%d" nb, pre.Tune.p_traces.(t)))
+              pre.Tune.p_trace_of_nblocks
+            @ [ ("residency", resident) ]
+          in
+          List.iter
+            (fun fault_spec ->
+              let cfg = Config.with_faults base (fault_ok fault_spec) in
+              List.iter
+                (fun devices ->
+                  List.iter
+                    (fun streams ->
+                      List.iter
+                        (fun (trace, events) ->
+                          let cfg = Config.with_devices cfg ~devices ~streams in
+                          let s, s_obs =
+                            verdict (fun ~obs ->
+                                (Runtime.Migrate.schedule ~obs cfg events)
+                                  .Runtime.Migrate.m_result
+                                  .Machine.Engine.makespan)
+                          in
+                          let m, m_obs =
+                            verdict (fun ~obs ->
+                                Runtime.Migrate.makespan ~obs cfg events)
+                          in
+                          let where =
+                            Printf.sprintf "%s on %s, faults %S, d%d s%d %s" name
+                              fleet_spec fault_spec devices streams trace
+                          in
+                          if s <> m then
+                            Alcotest.failf "%s: makespan differs from schedule"
+                              where;
+                          if s_obs <> m_obs then
+                            Alcotest.failf "%s: obs differ:\n%s\n%s" where s_obs
+                              m_obs;
+                          incr evals;
+                          if Result.is_error s then incr deaths;
+                          if contains ~sub:"fault.resident_repaid" s_obs then
+                            incr repaid)
+                        traces)
+                    pre.Tune.p_space.Tune.sp_streams)
+                pre.Tune.p_space.Tune.sp_devices)
+            [
+              "";
+              "seed=3,xfer=0.1";
+              "dev0:kill@0,dead-after=1";
+              "kill@0,dead-after=1";
+              "kill@0,dead-after=1,no-fallback";
+            ])
+        bench_fleets)
+    Workloads.Registry.all;
+  (* 12 workloads x 2 fleets x 5 fault specs x 4x2 devices and streams
+     x (11 block counts + the residency trace) *)
+  Alcotest.(check int) "grid points" (12 * 2 * 5 * 8 * 12) !evals;
+  (* no-fallback with every device killed: every point dies, in both *)
+  Alcotest.(check int) "device deaths" (12 * 2 * 8 * 12) !deaths;
+  Alcotest.(check bool) "some placements re-pay resident inputs" true
+    (!repaid > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Parity: Tune.prepare_program against optimize-and-print            *)
+(* ------------------------------------------------------------------ *)
+
+(* The preparation [Tune.prepare_program] replaced, kept as its
+   reference: optimize and pretty-print at every candidate count,
+   dedupe on the printed text, trace each distinct program once (the
+   first runtime error, in candidate order, ends it), and seed the
+   hill search from the default trace's most expensive block. *)
+let reference_prepare ~base prog =
+  let sp = Tune.space ~max_devices:1 ~max_streams:1 () in
+  let texts = Hashtbl.create 16 in
+  let traces = ref [] in
+  let exception Failed of string in
+  match
+    List.map
+      (fun nb ->
+        let optimized, _ = Comp.optimize ~nblocks:nb prog in
+        let text = Minic.Pretty.program_to_string optimized in
+        match Hashtbl.find_opt texts text with
+        | Some idx -> (nb, idx)
+        | None -> (
+            match Minic.Compile_eval.run_compiled optimized with
+            | Error e -> raise (Failed e)
+            | Ok o ->
+                let idx = Hashtbl.length texts in
+                Hashtbl.add texts text idx;
+                traces := o.Minic.Interp.events :: !traces;
+                (nb, idx)))
+      sp.Tune.sp_nblocks
+  with
+  | exception Failed e -> Error e
+  | map ->
+      let traces = Array.of_list (List.rev !traces) in
+      let params = Runtime.Replay.default_params in
+      let bytes cells =
+        float_of_int cells *. params.Runtime.Replay.bytes_per_cell
+      in
+      let seed =
+        List.fold_left
+          (fun acc (b : Runtime.Migrate.block) ->
+            let n =
+              Block_size.choose ~candidates:sp.Tune.sp_nblocks
+                {
+                  Block_size.transfer_s =
+                    Machine.Cost.transfer_time base Machine.Cost.H2d
+                      ~bytes:(bytes (b.blk_h2d_cells + b.blk_resident_cells))
+                    +. Machine.Cost.transfer_time base Machine.Cost.D2h
+                         ~bytes:(bytes b.blk_d2h_cells);
+                  compute_s =
+                    float_of_int b.blk_work
+                    *. params.Runtime.Replay.seconds_per_stmt;
+                  launch_s = Machine.Cost.launch_time base;
+                }
+            in
+            match acc with
+            | Some (work, _) when work >= b.blk_work -> acc
+            | _ -> Some (b.blk_work, n))
+          None
+          (Runtime.Migrate.blocks_of_events
+             traces.(List.assoc Comp.default_nblocks map))
+      in
+      Ok
+        ( traces,
+          map,
+          match seed with None -> Comp.default_nblocks | Some (_, n) -> n )
+
+let test_prepare_parity () =
+  let base = Config.paper_default in
+  let streamable = ref 0 and single = ref 0 and failed = ref 0 in
+  let check name prog =
+    match
+      ( reference_prepare ~base prog,
+        Tune.prepare_program ~base ~max_devices:1 ~max_streams:1 ~name prog )
+    with
+    | Ok (traces, map, seed), Ok pre ->
+        Alcotest.(check (list (pair int int)))
+          (name ^ ": trace of nblocks") map pre.Tune.p_trace_of_nblocks;
+        Alcotest.(check int) (name ^ ": seed") seed pre.Tune.p_seed_nblocks;
+        if traces <> pre.Tune.p_traces then
+          Alcotest.failf "%s: traces differ from the reference" name;
+        if Array.length traces > 1 then incr streamable else incr single
+    | Error e, Error e' ->
+        Alcotest.(check string) (name ^ ": error") e e';
+        incr failed
+    | Ok _, Error e -> Alcotest.failf "%s: reference ran, prepare: %s" name e
+    | Error e, Ok _ -> Alcotest.failf "%s: prepare ran, reference: %s" name e
+  in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      check w.Workloads.Workload.name (Workloads.Workload.program w))
+    Workloads.Registry.all;
+  List.iter
+    (fun pat ->
+      for seed = 1 to 6 do
+        check
+          (Printf.sprintf "%s seed %d" (Check.Genprog.pattern_name pat) seed)
+          (parse (Check.Genprog.generate pat ~seed))
+      done)
+    Check.Genprog.all_patterns;
+  (* a program that fails at run time is an [Error], never an exception *)
+  check "undefined read"
+    (parse
+       "int main(void) { int a[4]; int s = 0; for (i = 0; i < 8; i++) { s = s \
+        + a[i]; } print_int(s); return 0; }");
+  (* every branch ran: programs with and without a streaming site, and
+     one that fails *)
+  Alcotest.(check bool) "some programs stream" true (!streamable > 0);
+  Alcotest.(check bool) "some programs do not" true (!single > 0);
+  Alcotest.(check int) "failing programs" 1 !failed
+
 let suite =
   [
     tc "fleet spec parses devices, streams, sticky devN: scales"
@@ -324,4 +551,7 @@ let suite =
     tc "block cache counts hits and misses" test_block_cache_counters;
     tc "shared tune cache answers a repeat search without simulating"
       test_tune_cache_shared;
+    tc "makespan equals schedule's, bit for bit, with equal counters"
+      test_makespan_parity;
+    tc "prepare equals the optimize-and-print reference" test_prepare_parity;
   ]
