@@ -1349,7 +1349,11 @@ let serve_cmd =
     | Some path ->
         if socket <> None then
           die_usage "serve: --socket and --connect are mutually exclusive";
-        Serve.client ~path stdin stdout
+        Result.iter_error
+          (fun msg ->
+            prerr_endline ("serve: " ^ msg);
+            exit 1)
+          (Serve.client ~path stdin stdout)
     | None -> (
         let config =
           {

@@ -86,6 +86,10 @@ type histogram = {
   h_buckets : int array;  (** 64 power-of-two buckets *)
 }
 
+type kind_stat = { ks_count : int; ks_bytes : float; ks_seconds : float }
+
+let empty_stat = { ks_count = 0; ks_bytes = 0.; ks_seconds = 0. }
+
 type t = {
   counters : (string, int ref) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
@@ -93,6 +97,10 @@ type t = {
   mutable nspans : int;
   open_spans : (int, open_span) Hashtbl.t;
   mutable next_span : int;
+  mutable absorbed : kind_stat array;
+      (** per-kind totals of absorbed spans, indexed by {!kind_index};
+          [[||]] until the first {!absorb}, so {!create} allocates no
+          more than before *)
 }
 
 let create () =
@@ -103,6 +111,7 @@ let create () =
     nspans = 0;
     open_spans = Hashtbl.create 8;
     next_span = 0;
+    absorbed = [||];
   }
 
 let reset t =
@@ -111,7 +120,8 @@ let reset t =
   t.spans <- [];
   t.nspans <- 0;
   Hashtbl.reset t.open_spans;
-  t.next_span <- 0
+  t.next_span <- 0;
+  t.absorbed <- [||]
 
 (* {1 Counters} *)
 
@@ -187,23 +197,46 @@ let merge_histogram ~into:h src =
 
 (* {1 Merging} *)
 
-(** [merge dst src] folds [src] into [dst]: counters add, histograms
-    combine (counts/totals/buckets add, min/max widen), and [src]'s
-    completed spans are prepended to [dst]'s.
+let kind_index = function
+  | H2d -> 0
+  | D2h -> 1
+  | Kernel -> 2
+  | Launch -> 3
+  | Signal -> 4
+  | Page_fault -> 5
+  | Seg_alloc -> 6
+  | Repack -> 7
+  | Retry -> 8
+  | Host -> 9
 
-    Both sinks store completed spans {e newest-first}, so when each
-    parallel task records into a private sink and the per-task sinks
-    are merged in submission order ([merge acc s0; merge acc s1; ...]),
-    the accumulated span list — and therefore every aggregate and the
-    profile JSON — is exactly what one shared sink would have seen in
-    the sequential run.
+(* Each kind's fold over the held spans starts from its absorbed
+   total, so a sink that never absorbed folds from zero, bit for bit
+   as it did before absorbing existed. *)
+let absorbed_of t kind =
+  if Array.length t.absorbed = 0 then empty_stat
+  else t.absorbed.(kind_index kind)
 
-    [src] is left untouched and may not have open spans (an open span
-    has no defined owner after the merge); [dst]'s open spans keep
-    their ids. *)
-let merge dst src =
+(* Add [stat] to [t]'s absorbed total of [kind]; the array is made on
+   the first non-empty total. *)
+let add_absorbed t (kind, stat) =
+  if stat.ks_count > 0 then begin
+    if Array.length t.absorbed = 0 then
+      t.absorbed <- Array.make (List.length all_kinds) empty_stat;
+    let i = kind_index kind in
+    let a = t.absorbed.(i) in
+    t.absorbed.(i) <-
+      {
+        ks_count = a.ks_count + stat.ks_count;
+        ks_bytes = a.ks_bytes +. stat.ks_bytes;
+        ks_seconds = a.ks_seconds +. stat.ks_seconds;
+      }
+  end
+
+(* The step [merge] and [absorb] share: counters add and histograms
+   combine. *)
+let merge_counts dst src =
   if Hashtbl.length src.open_spans > 0 then
-    invalid_arg "Obs.merge: source sink has open spans";
+    invalid_arg "Obs: cannot fold a source sink with open spans";
   Hashtbl.iter (fun name r -> add dst name !r) src.counters;
   Hashtbl.iter
     (fun name sh ->
@@ -218,7 +251,25 @@ let merge dst src =
               h_max = sh.h_max;
               h_buckets = Array.copy sh.h_buckets;
             })
-    src.histograms;
+    src.histograms
+
+(** [merge dst src] folds [src] into [dst]: counters add, histograms
+    combine (counts/totals/buckets add, min/max widen), absorbed
+    totals add, and [src]'s completed spans are prepended to [dst]'s.
+
+    Both sinks store completed spans {e newest-first}, so when each
+    parallel task records into a private sink and the per-task sinks
+    are merged in submission order ([merge acc s0; merge acc s1; ...]),
+    the accumulated span list — and therefore every aggregate and the
+    profile JSON — is exactly what one shared sink would have seen in
+    the sequential run.
+
+    [src] is left untouched and may not have open spans (an open span
+    has no defined owner after the merge); [dst]'s open spans keep
+    their ids. *)
+let merge dst src =
+  merge_counts dst src;
+  List.iter (fun k -> add_absorbed dst (k, absorbed_of src k)) all_kinds;
   (* src's spans are newer than everything already in dst *)
   dst.spans <- src.spans @ dst.spans;
   dst.nspans <- dst.nspans + src.nspans
@@ -263,10 +314,6 @@ let unclosed t =
 
 (* {1 Aggregates} *)
 
-type kind_stat = { ks_count : int; ks_bytes : float; ks_seconds : float }
-
-let empty_stat = { ks_count = 0; ks_bytes = 0.; ks_seconds = 0. }
-
 let stat_of_kind t kind =
   List.fold_left
     (fun acc s ->
@@ -277,10 +324,10 @@ let stat_of_kind t kind =
           ks_seconds = acc.ks_seconds +. (s.span_stop -. s.span_start);
         }
       else acc)
-    empty_stat t.spans
+    (absorbed_of t kind) t.spans
 
-(** Per-kind totals over all completed spans, in {!all_kinds} order,
-    kinds with no spans omitted. *)
+(** Per-kind totals over absorbed and completed spans, in {!all_kinds}
+    order, kinds with no spans omitted. *)
 let by_kind t =
   List.filter_map
     (fun k ->
@@ -291,6 +338,13 @@ let by_kind t =
 let bytes_of_kind t kind = (stat_of_kind t kind).ks_bytes
 let seconds_of_kind t kind = (stat_of_kind t kind).ks_seconds
 let count_of_kind t kind = (stat_of_kind t kind).ks_count
+
+(** [absorb dst src] is {!merge} that keeps none of [src]'s spans:
+    their per-kind totals ({!by_kind}) are added to [dst]'s absorbed
+    totals instead. *)
+let absorb dst src =
+  merge_counts dst src;
+  List.iter (add_absorbed dst) (by_kind src)
 
 (* {1 JSON} *)
 

@@ -52,7 +52,8 @@ val merge : t -> t -> unit
 (** [merge dst src] folds [src] into [dst]: counters add, histograms
     combine (counts, totals and buckets add; min/max widen — an empty
     histogram contributes the neutral [infinity]/[neg_infinity] pair,
-    never 0), and [src]'s completed spans are prepended to [dst]'s.
+    never 0), [src]'s absorbed per-kind totals (see {!absorb}) add to
+    [dst]'s, and [src]'s completed spans are prepended to [dst]'s.
 
     Completed spans are stored {e newest-first} internally (and
     reversed by {!spans}); [merge] relies on that ordering and
@@ -65,6 +66,18 @@ val merge : t -> t -> unit
 
     [src] is left untouched.  Raises [Invalid_argument] if [src] has
     open spans — an open span would have no owner after the merge. *)
+
+val absorb : t -> t -> unit
+(** [absorb dst src] is {!merge} without [src]'s spans: counters and
+    histograms fold in exactly as {!merge} folds them, and [src]'s
+    per-kind span totals ({!by_kind}: count, bytes, seconds) are added
+    to [dst]'s {e absorbed} totals instead of its span list.  A sink
+    that absorbs every source keeps memory independent of how many
+    sources it absorbed; {!by_kind}, the [*_of_kind] accessors and
+    {!to_json} report the same counts as {!merge} would have, and the
+    same byte and second totals up to the order of float additions.
+    [src] is left untouched; raises [Invalid_argument] if [src] has
+    open spans. *)
 
 (** {1 Counters} *)
 
@@ -101,6 +114,9 @@ val spans : t -> span list
     part of the contract). *)
 
 val span_count : t -> int
+(** Completed spans held in the sink ({!spans}'s length); absorbed
+    spans are not held and not counted here, only in {!by_kind}. *)
+
 val unclosed : t -> (kind * string) list
 (** Spans begun but never ended — each one is a leak (property-tested
     to be empty for every generated schedule). *)
@@ -110,7 +126,10 @@ val unclosed : t -> (kind * string) list
 type kind_stat = { ks_count : int; ks_bytes : float; ks_seconds : float }
 
 val by_kind : t -> (kind * kind_stat) list
-(** Per-kind totals over completed spans; kinds with no spans omitted. *)
+(** Per-kind totals over absorbed and completed spans; kinds with no
+    spans omitted.  Each kind's fold over the held spans starts from
+    its absorbed total, so a sink that never absorbed reports exactly
+    the fold over its own spans. *)
 
 val bytes_of_kind : t -> kind -> float
 val seconds_of_kind : t -> kind -> float
@@ -145,6 +164,6 @@ end
 val histogram_json : histogram -> Json.t
 
 val to_json : t -> Json.t
-(** Counters, per-kind span totals, and histogram summaries: the
-    ["counters"]/["kinds"]/["histograms"] sections of the profile
-    schema. *)
+(** Counters, per-kind span totals ({!by_kind}), and histogram
+    summaries: the ["counters"]/["kinds"]/["histograms"] sections of
+    the profile schema. *)

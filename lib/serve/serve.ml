@@ -65,7 +65,9 @@ type work = {
 type t = {
   cfg : config;
   cache : CE.Source_cache.t;
-  sink : Obs.t;  (** per-request sinks merged here, in request order *)
+  sink : Obs.t;
+      (** per-request sinks absorbed here, in request order: totals
+          only, no spans, so the sink stays the same size with uptime *)
   responses : (int, string) Hashtbl.t;  (** completed, not yet emittable *)
   mutable seq : int;
   mutable next_emit : int;
@@ -147,7 +149,7 @@ let reject t ~seq ~id code msg =
   Obs.incr o ("serve.err." ^ code);
   if code = "queue_full" then Obs.incr o "serve.rejected";
   let line = err_line ~id ~o code msg in
-  Obs.merge t.sink o;
+  Obs.absorb t.sink o;
   t.served_err <- t.served_err + 1;
   buffer t seq line
 
@@ -155,7 +157,7 @@ let reject t ~seq ~id code msg =
 
    Runs on a pool domain; must never raise and must touch no server
    state.  Everything it observes lands in a private sink, returned
-   for in-order merging. *)
+   for in-order absorbing. *)
 
 let stats_json (s : Minic.Interp.stats) =
   J.Obj
@@ -260,7 +262,7 @@ let exec (wk : work) =
 
    Cuts the queue into one pool submission.  The batch boundary is a
    sequence point: it depends only on the request stream and [batch],
-   never on pool width, so merges (and hence [stats]) are
+   never on pool width, so absorbs (and hence [stats]) are
    width-independent. *)
 
 (* Estimated statement cost of one queued request.  A batch whose
@@ -272,7 +274,7 @@ let exec (wk : work) =
    workload on a 2-vCPU host, removing it raised median throughput 9%
    (2750 vs 2523 req/s) but left p99 unresolved: median 30.3 vs
    29.5 ms, with one run at 59 ms against at most 34 ms with the
-   bypass.  The estimate reads only the merged sink, whose state at a
+   bypass.  The estimate reads only the daemon sink, whose state at a
    batch boundary is width-independent. *)
 let estimate_stmts t (wk : work) =
   let run_estimate () =
@@ -314,7 +316,7 @@ let flush_queue t =
     in
     List.iteri
       (fun i (line, ok, o) ->
-        Obs.merge t.sink o;
+        Obs.absorb t.sink o;
         if ok then t.served_ok <- t.served_ok + 1
         else t.served_err <- t.served_err + 1;
         if t.cfg.timings then
@@ -450,7 +452,7 @@ let resolve t ~cmd ~src ~bench ~fuel ~variant =
             cmd )
 
 (* The [stats] snapshot: everything here is derived from admission
-   counts and the order-insensitive parts of the merged sink, so it is
+   counts and the daemon sink, which absorbs in request order, so it is
    identical at any pool width. *)
 let stats_fields t =
   [
@@ -590,6 +592,10 @@ let serve_channels t ic oc =
 let serve_stdin t = serve_channels t stdin stdout
 
 let serve_socket t ~path =
+  (* a client that hangs up before reading its responses must cost only
+     its own connection: with SIGPIPE ignored the failed write raises
+     [Sys_error], caught below *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   Unix.bind sock (Unix.ADDR_UNIX path);
@@ -609,6 +615,9 @@ let serve_socket t ~path =
       done)
 
 let client ~path ic oc =
+  (* a server that goes away mid-session must surface as a short
+     response count, not as a SIGPIPE that kills the client *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let rec connect tries =
     let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect s (Unix.ADDR_UNIX path) with
@@ -618,28 +627,69 @@ let client ~path ic oc =
         Unix.sleepf 0.05;
         connect (tries - 1)
   in
-  let s = connect 100 in
-  let soc = Unix.out_channel_of_descr s in
-  let sic = Unix.in_channel_of_descr s in
-  let rec send () =
-    match input_line ic with
-    | line ->
-        output_string soc line;
-        output_char soc '\n';
-        send ()
-    | exception End_of_file -> ()
-  in
-  send ();
-  flush soc;
-  Unix.shutdown s Unix.SHUTDOWN_SEND;
-  let rec recv () =
-    match input_line sic with
-    | line ->
-        output_string oc line;
-        output_char oc '\n';
-        recv ()
-    | exception End_of_file -> ()
-  in
-  recv ();
-  flush oc;
-  try Unix.close s with Unix.Unix_error _ -> ()
+  match connect 100 with
+  | exception Unix.Unix_error (e, _, _) ->
+      Error
+        (Printf.sprintf "cannot connect to %s: %s" path (Unix.error_message e))
+  | s ->
+      let soc = Unix.out_channel_of_descr s in
+      let sic = Unix.in_channel_of_descr s in
+      (* Requests go out on a helper domain while this one copies
+         responses: the server stops reading while its responses sit
+         unread, so sending everything before reading anything
+         deadlocks a long session.  The sender reads all of [ic] even
+         after the socket fails, to count the requests owed an answer
+         (the server answers each non-blank line once). *)
+      let sender =
+        Domain.spawn (fun () ->
+            let requests = ref 0 and alive = ref true in
+            (try
+               while true do
+                 let line = input_line ic in
+                 if String.trim line <> "" then incr requests;
+                 if !alive then
+                   try
+                     output_string soc line;
+                     output_char soc '\n'
+                   with Sys_error _ -> alive := false
+               done
+             with End_of_file -> ());
+            (try
+               flush soc;
+               Unix.shutdown s Unix.SHUTDOWN_SEND
+             with Sys_error _ | Unix.Unix_error _ -> ());
+            !requests)
+      in
+      let rec copy n =
+        match input_line sic with
+        | exception (End_of_file | Sys_error _) -> n
+        | line ->
+            output_string oc line;
+            output_char oc '\n';
+            copy (n + 1)
+      in
+      let copied =
+        match
+          let n = copy 0 in
+          flush oc;
+          n
+        with
+        | n -> Ok n
+        | exception Sys_error e ->
+            (* nobody reads [oc] any more: close it, so that no later
+               flush retries the failed write *)
+            close_out_noerr oc;
+            Error e
+      in
+      (* wake a sender blocked on a socket nobody reads any more *)
+      (try Unix.shutdown s Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      let requests = Domain.join sender in
+      (try Unix.close s with Unix.Unix_error _ -> ());
+      match copied with
+      | Error e -> Error ("cannot write responses: " ^ e)
+      | Ok n when n = requests -> Ok ()
+      | Ok n ->
+          Error
+            (Printf.sprintf
+               "the server closed the connection after %d of %d responses" n
+               requests)

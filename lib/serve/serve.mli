@@ -46,7 +46,7 @@ type config = {
 val default_config : config
 
 type t
-(** Server state: compile cache, merged [Obs] sink, request queue. *)
+(** Server state: compile cache, daemon [Obs] sink, request queue. *)
 
 val create : ?config:config -> unit -> t
 
@@ -71,8 +71,11 @@ val shutdown_requested : t -> bool
 (** {1 Introspection} *)
 
 val obs : t -> Obs.t
-(** The merged sink: per-request sinks folded in request order, so
-    the profile is identical at any pool width. *)
+(** The daemon sink: each request's private sink is absorbed
+    ({!Obs.absorb}) in request order, so it holds counters,
+    histograms and per-kind span totals, and no spans
+    ([Obs.span_count] stays 0).  Its size does not grow with requests
+    served, and its profile is identical at any pool width. *)
 
 val cache_hits : t -> int
 val cache_misses : t -> int
@@ -92,10 +95,17 @@ val serve_stdin : t -> unit
 val serve_socket : t -> path:string -> unit
 (** Bind a Unix-domain socket at [path] and serve one connection at a
     time until a [shutdown] request; state (cache, stats) persists
-    across connections.  The socket file is removed on exit. *)
+    across connections.  Ignores SIGPIPE, so a client that hangs up
+    before reading its responses loses them without ending the
+    daemon.  The socket file is removed on exit. *)
 
-val client : path:string -> in_channel -> out_channel -> unit
+val client : path:string -> in_channel -> out_channel -> (unit, string) result
 (** Scripted-session client for the socket transport: connect
-    (retrying while the server starts up), send every input line,
-    half-close, then copy response lines to [out_channel].  Suited to
-    batch scripts, not interactive use. *)
+    (retrying while the server starts up), send [in_channel]'s lines
+    from a helper domain while copying response lines to
+    [out_channel], then half-close.  [Error] when the connection
+    fails, when [out_channel] cannot be written (it is then closed,
+    so no later flush retries the write), or when the server closes
+    the connection before answering every non-blank line.  Ignores
+    SIGPIPE, so a server that goes away surfaces as that [Error].
+    Suited to batch scripts, not interactive use. *)

@@ -126,6 +126,61 @@ let close a b =
   Float.abs (a -. b)
   <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
+let obs_json o = Obs.Json.to_string (Obs.to_json o)
+
+(* A replayable sink whose every float is a small multiple of 1/4, so
+   sums are exact in any order and aggregates can be compared bit for
+   bit whichever way [merge] and [absorb] associate them. *)
+let dyadic_sink seed =
+  let o = Obs.create () in
+  let st = Random.State.make [| seed |] in
+  let quarter n = float_of_int (Random.State.int st n) /. 4. in
+  for _ = 1 to 1 + Random.State.int st 6 do
+    let name = [| "a"; "b"; "c" |].(Random.State.int st 3) in
+    Obs.incr ~by:(1 + Random.State.int st 5) o name;
+    Obs.observe o name (quarter 400)
+  done;
+  for _ = 0 to Random.State.int st 5 do
+    let kind = List.nth Obs.all_kinds (Random.State.int st 4) in
+    let start = quarter 40 in
+    Obs.span ~bytes:(quarter 4000) o kind ~label:"s" ~start
+      ~stop:(start +. quarter 8)
+  done;
+  o
+
+(* The reference per-kind fold over a sink's spans: newest first, from
+   zero. *)
+let reference_by_kind o =
+  List.filter_map
+    (fun k ->
+      let s =
+        List.fold_left
+          (fun (acc : Obs.kind_stat) sp ->
+            if sp.Obs.span_kind = k then
+              {
+                Obs.ks_count = acc.Obs.ks_count + 1;
+                ks_bytes = acc.Obs.ks_bytes +. sp.Obs.span_bytes;
+                ks_seconds =
+                  acc.Obs.ks_seconds
+                  +. (sp.Obs.span_stop -. sp.Obs.span_start);
+              }
+            else acc)
+          { Obs.ks_count = 0; ks_bytes = 0.; ks_seconds = 0. }
+          (List.rev (Obs.spans o))
+      in
+      if s.Obs.ks_count = 0 then None else Some (k, s))
+    Obs.all_kinds
+
+let same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_stats =
+  List.equal (fun (k, (a : Obs.kind_stat)) (k', (b : Obs.kind_stat)) ->
+      k = k'
+      && a.Obs.ks_count = b.Obs.ks_count
+      && same_bits a.Obs.ks_bytes b.Obs.ks_bytes
+      && same_bits a.Obs.ks_seconds b.Obs.ks_seconds)
+
 let suite =
   [
     tc "counters accumulate and list sorted" (fun () ->
@@ -272,6 +327,81 @@ let suite =
         Alcotest.(check bool)
           "non-object" true
           (Obs.Json.member "a" (Obs.Json.Int 3) = None));
+    prop "merge is absorb plus the span prepend" ~count:200
+      QCheck.(pair small_nat small_nat)
+      (fun (x, y) ->
+        let merged = dyadic_sink x and absorbed = dyadic_sink x in
+        Obs.merge merged (dyadic_sink y);
+        Obs.absorb absorbed (dyadic_sink y);
+        (* same counters, histograms and per-kind totals ... *)
+        obs_json merged = obs_json absorbed
+        && same_stats (Obs.by_kind merged) (Obs.by_kind absorbed)
+        (* ... and only merge keeps the source's spans, newest last *)
+        && Obs.spans merged
+           = Obs.spans (dyadic_sink x) @ Obs.spans (dyadic_sink y)
+        && Obs.spans absorbed = Obs.spans (dyadic_sink x)
+        && Obs.span_count absorbed = Obs.span_count (dyadic_sink x));
+    prop "absorbed totals survive absorb and merge chains" ~count:100
+      QCheck.(triple small_nat small_nat small_nat)
+      (fun (x, y, z) ->
+        (* reference: every source merged, spans kept *)
+        let all = Obs.create () in
+        List.iter (fun s -> Obs.merge all (dyadic_sink s)) [ x; y; z ];
+        (* an absorbing sink, absorbed again, then merged *)
+        let inner = Obs.create () in
+        Obs.absorb inner (dyadic_sink x);
+        Obs.absorb inner (dyadic_sink y);
+        let outer = Obs.create () in
+        Obs.absorb outer inner;
+        let top = Obs.create () in
+        Obs.merge top outer;
+        Obs.merge top (dyadic_sink z);
+        obs_json all = obs_json top
+        && same_stats (Obs.by_kind all) (Obs.by_kind top)
+        && Obs.span_count inner = 0
+        && Obs.span_count outer = 0
+        && Obs.spans top = Obs.spans (dyadic_sink z)
+        && Obs.count_of_kind top Obs.H2d = Obs.count_of_kind all Obs.H2d
+        && same_bits
+             (Obs.seconds_of_kind top Obs.Kernel)
+             (Obs.seconds_of_kind all Obs.Kernel)
+        && same_bits
+             (Obs.bytes_of_kind top Obs.D2h)
+             (Obs.bytes_of_kind all Obs.D2h));
+    prop "a sink that never absorbed folds its spans as before" ~count:80
+      Gen.arb_plan
+      (fun (shape, strat) ->
+        let obs = Obs.create () in
+        ignore (Runtime.Schedule_gen.schedule ~obs cfg shape strat);
+        let expected = reference_by_kind obs in
+        let kinds_json =
+          Obs.Json.List
+            (List.map
+               (fun (k, (s : Obs.kind_stat)) ->
+                 Obs.Json.Obj
+                   [
+                     ("kind", Obs.Json.String (Obs.kind_name k));
+                     ("count", Obs.Json.Int s.Obs.ks_count);
+                     ("bytes", Obs.Json.Float s.Obs.ks_bytes);
+                     ("seconds", Obs.Json.Float s.Obs.ks_seconds);
+                   ])
+               expected)
+        in
+        same_stats (Obs.by_kind obs) expected
+        && Obs.Json.member "kinds" (Obs.to_json obs) = Some kinds_json);
+    tc "absorb rejects open spans; reset drops absorbed totals" (fun () ->
+        let a = Obs.create () and b = Obs.create () in
+        ignore (Obs.span_begin b Obs.Kernel ~label:"open" ~start:0.);
+        (match Obs.absorb a b with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.fail "expected Invalid_argument");
+        Obs.absorb a (dyadic_sink 5);
+        Alcotest.(check bool)
+          "absorbed something" true
+          (Obs.by_kind a <> [] && Obs.span_count a = 0);
+        Obs.reset a;
+        Alcotest.(check string)
+          "reset is a fresh sink" (obs_json (Obs.create ())) (obs_json a));
     prop "h2d/d2h/fault bytes conserved between plan and spans" ~count:150
       Gen.arb_plan
       (fun (shape, strat) ->

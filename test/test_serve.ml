@@ -68,6 +68,227 @@ let mixed_session =
     "{\"cmd\":\"shutdown\"}";
   ]
 
+(* {1 The daemon sink keeps totals} *)
+
+let variants =
+  [
+    ("cpu", Comp.Cpu_parallel);
+    ("mic-naive", Comp.Mic_naive);
+    ("mic-optimized", Comp.Mic_optimized);
+  ]
+
+(* [n] simulate requests cycling over the registry x variants *)
+let simulate_requests n =
+  let ws = Array.of_list Workloads.Registry.all in
+  let vs = Array.of_list variants in
+  List.init n (fun i ->
+      let w = ws.(i mod Array.length ws) in
+      let v = vs.(i / Array.length ws mod Array.length vs) in
+      (w, v))
+
+(* {1 Protocol fuzzing}
+
+   Request streams mixing valid requests, truncated and corrupted
+   lines, fields of the wrong type, oversized fuel and blank lines. *)
+
+let typed_errors =
+  [
+    "bad_json"; "bad_request"; "unknown_cmd"; "parse_error"; "type_error";
+    "unknown_benchmark"; "queue_full"; "budget_exhausted"; "runtime_error";
+  ]
+
+let fuzz_sources =
+  [
+    src_print 1;
+    src_print 2;
+    src_loop;
+    (* about 40,000 statements: enough for a batch to be pooled *)
+    "int main(void) { int s = 0; int i; for (i = 0; i < 10000; i++) { s = \
+     s + i; } print_int(s); return 0; }";
+    "int main(void) { int a = 0; return 1 / a; }";
+    "int main(void) { float a[4]; a[9] = 1.0; return 0; }";
+    "int main(void) { float a[8]; float b[8]; int i; for (i = 0; i < 8; \
+     i++) { a[i] = (float)i; } #pragma omp parallel for\n for (i = 0; i \
+     < 8; i++) { b[i] = a[i] + 1.0; } print_float(b[3]); return 0; }";
+    "int main(void) { return }";
+    "int main(void) { return y; }";
+  ]
+
+let gen_valid =
+  let open QCheck.Gen in
+  let str s = J.String s in
+  let id =
+    frequency
+      [
+        (2, return []);
+        (2, map (fun i -> [ ("id", J.Int i) ]) (int_range (-5) 1000));
+        (1, map (fun i -> [ ("id", str (Printf.sprintf "r%d" i)) ]) nat);
+      ]
+  in
+  let fuel =
+    frequency
+      [
+        (4, return []);
+        (2, map (fun f -> [ ("fuel", J.Int f) ]) (int_range 1 5_000));
+        (1, return [ ("fuel", J.Int max_int) ]);
+        (1, map (fun f -> [ ("fuel", J.Int f) ]) (int_range (-3) 0));
+      ]
+  in
+  let variant =
+    oneofl
+      [
+        [];
+        [ ("variant", str "cpu") ];
+        [ ("variant", str "mic-naive") ];
+        [ ("variant", str "warp") ];
+      ]
+  in
+  let opts = function [] -> [] | fields -> [ ("opts", J.Obj fields) ] in
+  let src = oneofl fuzz_sources in
+  let bench = oneofl (Workloads.Registry.names @ [ "nope" ]) in
+  let request =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun src f i ->
+              i @ [ ("cmd", str "run"); ("src", str src) ] @ opts f)
+            src fuel id );
+        ( 1,
+          map2
+            (fun b i -> i @ [ ("cmd", str "run"); ("bench", str b) ])
+            bench id );
+        ( 1,
+          map2
+            (fun src i -> i @ [ ("cmd", str "optimize"); ("src", str src) ])
+            src id );
+        ( 1,
+          map3
+            (fun src f i ->
+              i @ [ ("cmd", str "check"); ("src", str src) ] @ opts f)
+            src fuel id );
+        ( 2,
+          map3
+            (fun b v i ->
+              i @ [ ("cmd", str "simulate"); ("bench", str b) ] @ opts v)
+            bench variant id );
+        (1, map (fun i -> i @ [ ("cmd", str "stats") ]) id);
+        (1, return [ ("cmd", str "shutdown") ]);
+      ]
+  in
+  map (fun fields -> J.to_string (J.Obj fields)) request
+
+(* a field of the wrong type, spliced into an otherwise valid request *)
+let gen_wrong_type =
+  let open QCheck.Gen in
+  let bad =
+    oneofl
+      [
+        "7"; "null"; "true"; "[1,2]"; "{}"; "1.5"; "\"x\"";
+        "99999999999999999999999"; "1e400"; "-0";
+      ]
+  in
+  let field =
+    oneofl
+      [
+        Printf.sprintf {|{"cmd":%s}|};
+        Printf.sprintf {|{"cmd":"run","src":%s}|};
+        Printf.sprintf {|{"cmd":"simulate","bench":%s}|};
+        Printf.sprintf {|{"cmd":"run","src":"x","opts":%s}|};
+        Printf.sprintf
+          {|{"cmd":"run","src":"int main(void) { return 0; }","opts":{"fuel":%s}}|};
+        Printf.sprintf
+          {|{"cmd":"simulate","bench":"cg","opts":{"variant":%s}}|};
+        Printf.sprintf {|{"id":%s,"cmd":"stats"}|};
+        Fun.id;
+      ]
+  in
+  map2 (fun f b -> f b) field bad
+
+(* truncate, overwrite, insert or delete one character; never a
+   newline, which the transport would read as a line break *)
+let mutate_line line =
+  let open QCheck.Gen in
+  let n = String.length line in
+  let char =
+    map (fun c -> if c = '\n' then ' ' else c) (map Char.chr (int_range 0 126))
+  in
+  if n = 0 then return line
+  else
+    frequency
+      [
+        (2, map (fun k -> String.sub line 0 k) (int_bound (n - 1)));
+        ( 2,
+          map2
+            (fun k c -> String.mapi (fun i x -> if i = k then c else x) line)
+            (int_bound (n - 1))
+            char );
+        ( 1,
+          map2
+            (fun k c ->
+              String.sub line 0 k ^ String.make 1 c ^ String.sub line k (n - k))
+            (int_bound n) char );
+        ( 1,
+          map
+            (fun k -> String.sub line 0 k ^ String.sub line (k + 1) (n - k - 1))
+            (int_bound (n - 1)) );
+      ]
+
+let gen_line =
+  let open QCheck.Gen in
+  frequency
+    [
+      (5, gen_valid);
+      (4, gen_valid >>= mutate_line);
+      (2, gen_wrong_type);
+      (1, oneofl [ ""; "   "; "\t" ]);
+      ( 1,
+        map
+          (fun cs -> String.concat "" (List.map (String.make 1) cs))
+          (list_size (int_range 1 30) (map Char.chr (int_range 32 126))) );
+    ]
+
+(* a stream and the batch/queue bounds it is served with *)
+let arb_stream =
+  QCheck.make
+    ~print:(fun ((batch, queue), lines) ->
+      Printf.sprintf "batch=%d queue=%d\n%s" batch queue
+        (String.concat "\n" lines))
+    QCheck.Gen.(
+      pair
+        (pair (int_range 1 8) (int_range 1 10))
+        (list_size (int_range 1 24) gen_line))
+
+(* the id a response must echo: the request's own Int/String id, else
+   its sequence number among non-blank lines *)
+let expected_id seq line =
+  match J.of_string line with
+  | Ok (J.Obj _ as j) -> (
+      match J.member "id" j with
+      | Some ((J.Int _ | J.String _) as id) -> id
+      | _ -> J.Int seq)
+  | _ -> J.Int seq
+
+let stream_ok ((batch, queue), lines) =
+  let config jobs = cfg ~jobs ~batch ~queue ~max_fuel:200_000 () in
+  let _, r1 = drive (config 1) lines in
+  let _, r2 = drive (config 2) lines in
+  let requests = List.filter (fun l -> String.trim l <> "") lines in
+  let well_formed seq line response =
+    let j = parse_response response in
+    get "id" j = expected_id seq line
+    &&
+    match (J.member "ok" j, J.member "error" j) with
+    | Some (J.Bool true), None -> true
+    | Some (J.Bool false), Some (J.String code) -> List.mem code typed_errors
+    | _ -> false
+  in
+  r1 = r2
+  && List.length r1 = List.length requests
+  && List.for_all2 Fun.id
+       (List.mapi (fun i line -> well_formed (i + 1) line) requests)
+       r1
+
 let suite =
   [
     tc "response stream is byte-identical at jobs 1 and 2" (fun () ->
@@ -292,4 +513,68 @@ let suite =
         Alcotest.(check bool) "stopped" true (Serve.shutdown_requested t);
         (* the shutdown barrier flushed the pending run first *)
         Alcotest.(check int) "both responses out" 2 (List.length rs));
+    tc "the daemon sink keeps totals, not spans" (fun () ->
+        let reqs = simulate_requests 200 in
+        let lines =
+          List.map
+            (fun ((w : Workloads.Workload.t), (v, _)) ->
+              Printf.sprintf
+                {|{"cmd":"simulate","bench":%s,"opts":{"variant":"%s"}}|}
+                (J.to_string (J.String w.Workloads.Workload.name))
+                v)
+            reqs
+          @ [ "{\"cmd\":\"stats\"}" ]
+        in
+        let run jobs =
+          let t, rs = drive (cfg ~jobs ~batch:8 ()) lines in
+          Alcotest.(check int)
+            (Printf.sprintf "no spans held at jobs %d" jobs)
+            0
+            (Obs.span_count (Serve.obs t));
+          (Serve.obs t, List.nth rs 200)
+        in
+        let sink, stats = run 1 in
+        Alcotest.(check string)
+          "same stats at jobs 1 and 2" stats
+          (snd (run 2));
+        Alcotest.(check string)
+          "stats reports the sink's kinds"
+          (J.to_string (get "kinds" (Obs.to_json sink)))
+          (J.to_string (get "kinds" (get "obs" (parse_response stats))));
+        (* reference: the per-request sinks merged, spans kept *)
+        let reference = Obs.create () in
+        List.iter
+          (fun (w, (_, v)) ->
+            let o = Obs.create () in
+            ignore (Comp.simulate ~obs:o w v);
+            Obs.merge reference o)
+          reqs;
+        Alcotest.(check bool)
+          "the reference holds spans" true
+          (Obs.span_count reference > 0);
+        let expected = Obs.by_kind reference and got = Obs.by_kind sink in
+        Alcotest.(check (list string))
+          "same kinds"
+          (List.map (fun (k, _) -> Obs.kind_name k) expected)
+          (List.map (fun (k, _) -> Obs.kind_name k) got);
+        (* counts are exact; byte and second totals are float sums the
+           two sinks associate differently (per request, then across
+           requests), so they agree to the last few bits *)
+        List.iter2
+          (fun (k, (e : Obs.kind_stat)) (_, (g : Obs.kind_stat)) ->
+            let name = Obs.kind_name k in
+            Alcotest.(check int)
+              (name ^ " count") e.Obs.ks_count g.Obs.ks_count;
+            List.iter
+              (fun (what, e, g) ->
+                if not (float_close ~eps:1e-12 e g) then
+                  Alcotest.failf "%s %s: %.17g vs %.17g" name what e g)
+              [
+                ("bytes", e.Obs.ks_bytes, g.Obs.ks_bytes);
+                ("seconds", e.Obs.ks_seconds, g.Obs.ks_seconds);
+              ])
+          expected got);
+    prop "any request stream: one typed response per line, in order, at \
+          any width"
+      ~count:60 arb_stream stream_ok;
   ]
