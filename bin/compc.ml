@@ -91,29 +91,8 @@ let faults_arg =
    --devices N this means EVERY device died (migration exhausted) *)
 let exit_device_dead = 3
 
-(* --- --devices N / --streams K (the multi-device machine; shared by
-   run and --profile) --- *)
-
-let devices_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "devices" ] ~docv:"N"
-        ~doc:
-          "Number of identical MIC cards, each with its own PCIe link. \
-           With $(b,--faults), a device declared dead has its remaining \
-           blocks migrated to the survivors; the host CPU runs the rest \
-           only once every device is dead")
-
-let streams_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "streams" ] ~docv:"K"
-        ~doc:
-          "Concurrent streams per device: cores are partitioned evenly \
-           across the streams of a device, which contend for its one \
-           PCIe link")
-
-(* --- --machine SPEC (heterogeneous fleet; shared by run and tune) --- *)
+(* --- --machine SPEC / --devices N / --streams K (the device fleet;
+   shared by run, check and tune) --- *)
 
 let machine_arg =
   Arg.(
@@ -127,13 +106,72 @@ let machine_arg =
            card's compute throughput / PCIe link bandwidth relative to the \
            paper machine.  A bare $(b,cores=)/$(b,bw=) clause continues the \
            last $(b,devN:) prefix, so $(b,dev1:cores=0.5,bw=0.75) refines \
-           device 1 twice.  Overrides $(b,--devices)/$(b,--streams)")
+           device 1 twice.  Mutually exclusive with \
+           $(b,--devices)/$(b,--streams)")
 
-(* typed parse errors exit 2, the input-error convention *)
-let parse_machine spec =
-  match Machine.Fleet.parse spec with
-  | Ok f -> f
-  | Error e -> die_usage (Machine.Fleet.error_message e)
+(* The fleet the flags name, or a usage error (exit 2): [--machine]
+   excludes [--devices]/[--streams], and no count may be below 1.
+   [default] is the count an absent flag stands for; [none] documents
+   it in --help. *)
+let fleet_term ~cmd ~default ?none ~devices_doc ~streams_doc machine =
+  let count = Arg.(opt (some' ?none int) None) in
+  let resolve devices streams machine =
+    if machine <> None && (devices <> None || streams <> None) then
+      die_usage
+        (cmd ^ ": --machine and --devices/--streams are mutually exclusive");
+    let fleet =
+      match machine with
+      | Some spec -> (
+          match Machine.Fleet.parse spec with
+          | Ok f -> f
+          | Error e -> die_usage (Machine.Fleet.error_message e))
+      | None ->
+          {
+            Machine.Fleet.f_devices = Option.value devices ~default;
+            f_streams = Option.value streams ~default;
+            f_scales = [];
+          }
+    in
+    if fleet.Machine.Fleet.f_devices < 1 || fleet.Machine.Fleet.f_streams < 1
+    then die_usage (cmd ^ ": --devices and --streams must be at least 1");
+    fleet
+  in
+  Term.(
+    const resolve
+    $ Arg.(value & count & info [ "devices" ] ~docv:"N" ~doc:devices_doc)
+    $ Arg.(value & count & info [ "streams" ] ~docv:"K" ~doc:streams_doc)
+    $ machine)
+
+(* run and check: absent counts mean one card with one stream *)
+let grid_term ~cmd machine =
+  fleet_term ~cmd ~default:1 ~none:1
+    ~devices_doc:
+      "Number of identical MIC cards, each with its own PCIe link. With \
+       $(b,--faults), a device declared dead has its remaining blocks \
+       migrated to the survivors; the host CPU runs the rest only once every \
+       device is dead"
+    ~streams_doc:
+      "Concurrent streams per device: cores are partitioned evenly across \
+       the streams of a device, which contend for its one PCIe link"
+    machine
+
+(* --- --jobs N (the domain-pool width; shared by check, tune and
+   serve) --- *)
+
+let jobs_arg ~pool_for ~invariant =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          (Printf.sprintf
+             "Domain-pool width for %s (default: $(b,COMP_JOBS) if set, else \
+              the recommended domain count). %s at any width"
+             pool_for invariant))
+
+(* --- --fuel N (the statement budget; shared by run and check) --- *)
+
+let fuel_arg ~doc = Arg.(value & opt int 10_000_000 & info [ "fuel" ] ~doc)
 
 (* --- --eval ENGINE (shared by run, check and --profile) --- *)
 
@@ -338,9 +376,6 @@ let optimize_cmd =
 (* --- run --- *)
 
 let run_cmd =
-  let fuel =
-    Arg.(value & opt int 10_000_000 & info [ "fuel" ] ~doc:"Statement budget")
-  in
   let optimize_first =
     midend_flag
       ~doc:
@@ -374,18 +409,9 @@ let run_cmd =
              at the winning block count, and run on the winning grid.  \
              The tuned point is reported on stderr")
   in
-  let run file fuel o mpasses report replay engine residency faults devices
-      streams machine auto =
+  let run file fuel o mpasses report replay engine residency faults fleet auto
+      =
     let prog = or_die (load file) in
-    let fleet = Option.map parse_machine machine in
-    let devices, streams =
-      match fleet with
-      | Some f -> (f.Machine.Fleet.f_devices, f.Machine.Fleet.f_streams)
-      | None -> (devices, streams)
-    in
-    let scales =
-      match fleet with Some f -> f.Machine.Fleet.f_scales | None -> []
-    in
     let obs = if report then Some (Obs.create ()) else None in
     let mid = midend ~o ~passes:mpasses ~report:(report && not residency) in
     let prog =
@@ -403,18 +429,20 @@ let run_cmd =
     (* --auto: tune on the program as it stands (post mid-end and
        residency), then run the pipeline-optimized program on the
        tuned grid *)
-    let prog, devices, streams =
-      if not auto then (prog, devices, streams)
+    let faulted =
+      Machine.Config.with_faults Machine.Config.paper_default faults
+    in
+    let prog, fleet =
+      if not auto then (prog, fleet)
       else begin
         let base =
-          Machine.Config.with_scales
-            (Machine.Config.with_faults Machine.Config.paper_default faults)
-            scales
+          Machine.Config.with_scales faulted fleet.Machine.Fleet.f_scales
         in
         let pre =
           or_die_runtime
-            (Tune.prepare_program ~base ~max_devices:devices
-               ~max_streams:streams ~name:file prog)
+            (Tune.prepare_program ~base
+               ~max_devices:fleet.Machine.Fleet.f_devices
+               ~max_streams:fleet.Machine.Fleet.f_streams ~name:file prog)
         in
         let rep = Tune.run pre in
         let c = rep.Tune.r_best.Tune.pt_config in
@@ -425,8 +453,8 @@ let run_cmd =
           rep.Tune.r_default.Tune.pt_makespan (Tune.speedup rep)
           rep.Tune.r_explored rep.Tune.r_pruned;
         ( fst (Comp.optimize ~nblocks:c.Tune.nblocks prog),
-          c.Tune.devices,
-          c.Tune.streams )
+          { fleet with f_devices = c.Tune.devices; f_streams = c.Tune.streams }
+        )
       end
     in
     match Minic.Compile_eval.run ~engine ~fuel prog with
@@ -437,24 +465,16 @@ let run_cmd =
           o.stats.Minic.Interp.offloads o.stats.Minic.Interp.transfers
           o.stats.Minic.Interp.cells_h2d o.stats.Minic.Interp.cells_d2h
           o.stats.Minic.Interp.mic_alloc_cells;
-        let multi =
-          devices > 1 || streams > 1
-          || not (Fault.is_none faults)
-          || scales <> []
-        in
-        if multi then begin
+        if fleet <> Machine.Fleet.default || not (Fault.is_none faults)
+        then begin
           (* The multi-device path: cut the trace into blocks and place
              them over every (device, stream) unit; device deaths
              migrate the remainder to the survivors.  The summary and
              the fault.* counters go to stderr so program output stays
              byte-identical. *)
-          let cfg =
-            Machine.Config.with_scales
-              (Machine.Config.with_devices
-                 (Machine.Config.with_faults Machine.Config.paper_default
-                    faults)
-                 ~devices ~streams)
-              scales
+          let cfg = Machine.Fleet.apply faulted fleet in
+          let { Machine.Fleet.f_devices = devices; f_streams = streams; _ } =
+            fleet
           in
           let mobs = Obs.create () in
           match
@@ -515,9 +535,12 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Interpret a MiniC program (dual-space reference)")
     Term.(
-      const run $ file_arg $ fuel $ optimize_first $ midend_passes_arg
-      $ midend_report_flag $ replay $ eval_arg $ residency $ faults_arg
-      $ devices_arg $ streams_arg $ machine_arg $ auto)
+      const run $ file_arg
+      $ fuel_arg ~doc:"Statement budget"
+      $ optimize_first $ midend_passes_arg $ midend_report_flag $ replay
+      $ eval_arg $ residency $ faults_arg
+      $ grid_term ~cmd:"run" machine_arg
+      $ auto)
 
 (* --- simulate --- *)
 
@@ -644,21 +667,6 @@ let list_cmd =
 
 (* --- check --- *)
 
-(* One (pattern, transform) outcome within a generated-program run.
-   Generation, detection and differential execution happen inside
-   parallel tasks; printing, statistics, minimization and corpus
-   recording replay on the calling domain in submission order, so the
-   report is byte-identical at any --jobs width. *)
-type gen_outcome = {
-  g_txf : Check.transform;
-  g_what : string;  (** "generated pattern=... seed=..." provenance *)
-  g_prog : Minic.Ast.program;  (** original, for on-demand minimization *)
-  g_app_mismatch : bool option;
-      (** [Some expected] when detection disagreed with the pattern *)
-  g_sites : int;
-  g_verdict : Check.verdict option;  (** [None] when not applicable *)
-}
-
 let check_cmd =
   let file = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE") in
   let transform =
@@ -687,23 +695,8 @@ let check_cmd =
   let seed =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for the --runs sweep (default: \
-             $(b,COMP_JOBS) if set, else the recommended domain count). \
-             Output and exit code are identical at any width")
-  in
   let nblocks =
     Arg.(value & opt int 4 & info [ "nblocks" ] ~doc:"Streaming block count")
-  in
-  let fuel =
-    Arg.(
-      value & opt int 10_000_000
-      & info [ "fuel" ] ~doc:"Interpreter statement budget per run")
   in
   let inject =
     Arg.(
@@ -740,7 +733,7 @@ let check_cmd =
          h2d no worse without hoists"
   in
   let run file transform runs seed nblocks fuel inject record faults jobs
-      engine o mpasses residency devices streams =
+      engine o mpasses residency fleet =
     check_nblocks ~cmd:"check" nblocks;
     let txfs =
       match transform with None -> Check.all_transforms | Some t -> [ t ]
@@ -801,114 +794,84 @@ let check_cmd =
     (* The migration oracle (only with --devices/--streams): the
        multi-device recovered run must compute the same thing as the
        clean single-device one, conserve blocks, and finish. *)
+    let migrate = fleet <> Machine.Fleet.default in
     let migrated_report prog =
-      if devices > 1 || streams > 1 then
+      if migrate then
         Some
-          (Check.check_migrated ~engine ~fuel ~devices ~streams ~spec:faults
-             prog)
+          (Check.check_migrated ~engine ~fuel
+             ~devices:fleet.Machine.Fleet.f_devices
+             ~streams:fleet.Machine.Fleet.f_streams ~spec:faults prog)
       else None
     in
-    let migrated_fail_reason r =
-      if r.Check.mg_died then
-        "every device died and the policy has no CPU fallback"
-      else
-        match r.Check.mg_conservation with
-        | Some m -> m
-        | None -> Check.verdict_str r.Check.mg_verdict
+    let migrate_failed ~what r =
+      incr failures;
+      Printf.printf "  %-11s FAILED on %s: %s\n" "migrate" what
+        (if r.Check.mg_died then
+           "every device died and the policy has no CPU fallback"
+         else
+           match r.Check.mg_conservation with
+           | Some m -> m
+           | None -> Check.verdict_str r.Check.mg_verdict)
     in
-    let handle_migrated ~what = function
-      | None -> ()
-      | Some r ->
-          if Check.migrated_ok r then
-            Printf.printf
-              "  %-11s conserved: %d block%s, %d migrated, %d dead (clean \
-               %.6f s -> recovered %.6f s%s)\n"
-              "migrate" r.Check.mg_blocks
-              (if r.Check.mg_blocks = 1 then "" else "s")
-              r.Check.mg_migrated
-              (List.length r.Check.mg_dead)
-              r.Check.mg_clean_s r.Check.mg_faulted_s
-              (if r.Check.mg_fellback then ", host fallback" else "")
-          else begin
-            incr failures;
-            Printf.printf "  %-11s FAILED on %s: %s\n" "migrate" what
-              (migrated_fail_reason r)
-          end
-    in
-    (* Sweep variant: silent on success, one summary line at the end. *)
-    let mig_checked = ref 0
-    and mig_migrated_total = ref 0
-    and mig_deaths_total = ref 0
-    and mig_failures = ref 0 in
-    let handle_migrated_sweep ~what = function
-      | None -> ()
-      | Some r ->
-          incr mig_checked;
-          mig_migrated_total := !mig_migrated_total + r.Check.mg_migrated;
-          mig_deaths_total := !mig_deaths_total + List.length r.Check.mg_dead;
-          if not (Check.migrated_ok r) then begin
-            incr failures;
-            incr mig_failures;
-            Printf.printf "  %-11s FAILED on %s: %s\n" "migrate" what
-              (migrated_fail_reason r)
-          end
-    in
-    (* Report one transform's verdict on one program; on the first
-       divergence per transform, shrink, dump, and optionally record. *)
-    let handle ~what ~prog (r : Check.report) =
-      let name = Check.transform_name r.transform in
-      if r.sites = 0 then Printf.printf "  %-11s not applicable\n" name
-      else begin
-        incr applicable_total;
-        if Check.verdict_ok r.transform r.verdict then
-          Printf.printf "  %-11s %s (%d site%s)\n" name
-            (match r.verdict with
-            | Check.Orig_failed _ -> "enabled (original fails without it)"
-            | Check.Both_failed _ -> "both fail (pre-existing)"
-            | _ -> "equivalent")
-            r.sites
-            (if r.sites = 1 then "" else "s")
-        else begin
-          incr failures;
-          Printf.printf "  %-11s FAILED: %s\n" name
-            (Check.verdict_str r.verdict);
-          match r.verdict with
-          | Check.Diverged _ when not (Hashtbl.mem dumped r.transform) ->
-              Hashtbl.add dumped r.transform ();
-              let minimized =
-                Check.minimize_diverging ~engine ~fuel ~nblocks ~inject
-                  r.transform prog
+    (* One failed transform verdict: the FAILED line, then, on the first
+       divergence per transform, the minimized counterexample, printed
+       and (with --record) recorded.  [on] ends the FAILED line's
+       label, and [source] names the program in the recorded note. *)
+    let transform_failed ~what ~on ~source ~prog txf verdict =
+      incr failures;
+      let name = Check.transform_name txf in
+      Printf.printf "  %-11s FAILED%s: %s\n" name on
+        (Check.verdict_str verdict);
+      match verdict with
+      | Check.Diverged _ when not (Hashtbl.mem dumped txf) ->
+          Hashtbl.add dumped txf ();
+          let minimized =
+            Check.minimize_diverging ~engine ~fuel ~nblocks ~inject txf prog
+          in
+          Printf.printf "minimized counterexample (%s, %s):\n%s" name what
+            (Minic.Pretty.program_to_string minimized);
+          Option.iter
+            (fun dir ->
+              let note =
+                Printf.sprintf "minimized counterexample: transform=%s %s%s"
+                  name source
+                  (if inject then " (injected bug)" else "")
               in
-              Printf.printf "minimized counterexample (%s, %s):\n%s" name what
-                (Minic.Pretty.program_to_string minimized);
-              Option.iter
-                (fun dir ->
-                  let note =
-                    Printf.sprintf
-                      "minimized counterexample: transform=%s source=%s%s"
-                      name what
-                      (if inject then " (injected bug)" else "")
-                  in
-                  let path = Check.Corpus.record ~dir ~note minimized in
-                  Printf.printf "recorded: %s\n" path)
-                record
-          | _ -> ()
-        end
-      end
+              match Check.Corpus.record ~dir ~note minimized with
+              | path -> Printf.printf "recorded: %s\n" path
+              | exception Sys_error e ->
+                  die_usage
+                    (Printf.sprintf "check: cannot record to %s: %s" dir e))
+            record
+      | _ -> ()
     in
     (match file with
     | Some f ->
         let prog = or_die (load f) in
         Printf.printf "%s:\n" f;
         handle_opt ~what:f (opt_verdict prog);
-        if Fault.is_none faults then begin
+        if Fault.is_none faults then
           List.iter
-            (handle ~what:f ~prog)
+            (fun (r : Check.report) ->
+              let name = Check.transform_name r.transform in
+              if r.sites = 0 then Printf.printf "  %-11s not applicable\n" name
+              else begin
+                incr applicable_total;
+                if Check.verdict_ok r.transform r.verdict then
+                  Printf.printf "  %-11s %s (%d site%s)\n" name
+                    (match r.verdict with
+                    | Check.Orig_failed _ ->
+                        "enabled (original fails without it)"
+                    | Check.Both_failed _ -> "both fail (pre-existing)"
+                    | _ -> "equivalent")
+                    r.sites
+                    (if r.sites = 1 then "" else "s")
+                else
+                  transform_failed ~what:f ~on:"" ~source:("source=" ^ f)
+                    ~prog r.transform r.verdict
+              end)
             (Check.check_program ~engine ~fuel ~nblocks ~inject
-               ~transforms:txfs prog);
-          handle_residency ~what:f (residency_report prog);
-          handle_migrated ~what:f (migrated_report prog)
-        end
+               ~transforms:txfs prog)
         else begin
           (* differential oracle under an injected fault plan: the
              rewrite must stay equivalent AND the faulted replay must
@@ -937,13 +900,42 @@ let check_cmd =
                 end
               end)
             (Check.check_faulted ~engine ~fuel ~nblocks ~transforms:txfs
-               ~spec:faults prog);
-          handle_residency ~what:f (residency_report prog);
-          handle_migrated ~what:f (migrated_report prog)
-        end
+               ~spec:faults prog)
+        end;
+        handle_residency ~what:f (residency_report prog);
+        Option.iter
+          (fun r ->
+            if Check.migrated_ok r then
+              Printf.printf
+                "  %-11s conserved: %d block%s, %d migrated, %d dead (clean \
+                 %.6f s -> recovered %.6f s%s)\n"
+                "migrate" r.Check.mg_blocks
+                (if r.Check.mg_blocks = 1 then "" else "s")
+                r.Check.mg_migrated
+                (List.length r.Check.mg_dead)
+                r.Check.mg_clean_s r.Check.mg_faulted_s
+                (if r.Check.mg_fellback then ", host fallback" else "")
+            else migrate_failed ~what:f r)
+          (migrated_report prog)
     | None -> ());
     if runs > 0 then begin
-      (* per-transform (checked, applicable, divergences) counters *)
+      (* Generation and every oracle run inside the sweep's pool tasks;
+         printing, the counters, minimization and recording replay here,
+         on the calling domain, in submission order, so the report is
+         byte-identical at any --jobs width. *)
+      let swept =
+        try
+          Check.sweep ?jobs ~engine ~fuel ~nblocks ~inject ~transforms:txfs
+            ~runs ~seed
+            ~extra:(fun prog ->
+              (opt_verdict prog, residency_report prog, migrated_report prog))
+            ()
+        with Failure msg ->
+          prerr_endline msg;
+          exit 1
+      in
+      (* per-transform (checked, applicable, failures) counters, and
+         the migration oracle's totals *)
       let stats = Hashtbl.create 8 in
       let bump txf dc da dd =
         let c, a, d =
@@ -951,152 +943,65 @@ let check_cmd =
         in
         Hashtbl.replace stats txf (c + dc, a + da, d + dd)
       in
-      (* All detection and differential execution for run [k]: pure
-         work, safe on any domain.  The run's seed derives from the
-         root seed by splitmix, so the pool width never changes which
-         programs are tested. *)
-      let run_tasks k =
-        let s = Parallel.derive_seed ~root:seed k in
-        List.map
-          (fun pat ->
-            let src = Check.Genprog.generate pat ~seed:s in
-            let what =
-              Printf.sprintf "generated pattern=%s seed=%d"
-                (Check.Genprog.pattern_name pat)
-                s
-            in
-            let prog =
-              match Minic.Parser.program_of_string src with
-              | Error e ->
-                  failwith
-                    (Printf.sprintf "generator bug (%s): parse: %s\n%s" what e
-                       src)
-              | Ok p -> (
-                  match Minic.Typecheck.check_program p with
-                  | Error e ->
-                      failwith
-                        (Printf.sprintf "generator bug (%s): type: %s\n%s" what
-                           e src)
-                  | Ok _ -> p)
-            in
-            let opt_v = opt_verdict prog in
-            let res_v = residency_report prog in
-            let mig_v = migrated_report prog in
-            let outs =
-              List.map
-                (fun txf ->
-                let prog', sites = Check.apply ~nblocks txf prog in
-                let g_app_mismatch =
-                  match Check.expected_applicable pat txf with
-                  | Some b when b <> (sites > 0) -> Some b
-                  | _ -> None
-                in
-                let g_verdict =
-                  if sites > 0 then begin
-                    let prog' =
-                      if inject then Check.Inject.corrupt prog' else prog'
-                    in
-                    Some (Check.equiv ~engine ~fuel prog prog')
-                  end
-                  else None
-                in
-                {
-                  g_txf = txf;
-                  g_what = what;
-                  g_prog = prog;
-                  g_app_mismatch;
-                  g_sites = sites;
-                  g_verdict;
-                })
-                txfs
-            in
-            (what, opt_v, res_v, mig_v, outs))
-          Check.Genprog.all_patterns
-      in
-      let outcomes =
-        try Parallel.run ?jobs runs run_tasks
-        with Failure msg ->
-          prerr_endline msg;
-          exit 1
-      in
-      (* Replay in submission order: same prints, same counters, same
-         first-divergence-per-transform minimization as sequentially. *)
+      let mig_checked = ref 0
+      and mig_migrated = ref 0
+      and mig_deaths = ref 0
+      and mig_failures = ref 0 in
       List.iter
-        (List.iter (fun (what, opt_v, res_v, mig_v, outs) ->
-             handle_opt ~what opt_v;
-             handle_residency ~what res_v;
-             handle_migrated_sweep ~what mig_v;
-             List.iter (fun o ->
-             (match o.g_app_mismatch with
-             | Some b ->
-                 incr failures;
-                 bump o.g_txf 1 0 1;
-                 Printf.printf "  %-11s FAILED: expected %sapplicable on %s\n"
-                   (Check.transform_name o.g_txf)
-                   (if b then "" else "NOT ")
-                   o.g_what
-             | None -> bump o.g_txf 1 0 0);
-             if o.g_sites > 0 then begin
-               incr applicable_total;
-               bump o.g_txf 0 1 0;
-               match o.g_verdict with
-               | Some verdict when not (Check.verdict_ok o.g_txf verdict) ->
-                   begin
-                     incr failures;
-                     bump o.g_txf 0 0 1;
-                     Printf.printf "  %-11s FAILED on %s: %s\n"
-                       (Check.transform_name o.g_txf)
-                       o.g_what
-                       (Check.verdict_str verdict);
-                     match verdict with
-                     | Check.Diverged _ when not (Hashtbl.mem dumped o.g_txf)
-                       ->
-                         Hashtbl.add dumped o.g_txf ();
-                         let minimized =
-                           Check.minimize_diverging ~engine ~fuel ~nblocks
-                             ~inject o.g_txf o.g_prog
-                         in
-                         Printf.printf
-                           "minimized counterexample (%s, %s):\n%s"
-                           (Check.transform_name o.g_txf)
-                           o.g_what
-                           (Minic.Pretty.program_to_string minimized);
-                         Option.iter
-                           (fun dir ->
-                             let note =
-                               Printf.sprintf
-                                 "minimized counterexample: transform=%s %s%s"
-                                 (Check.transform_name o.g_txf)
-                                 o.g_what
-                                 (if inject then " (injected bug)" else "")
-                             in
-                             let path =
-                               Check.Corpus.record ~dir ~note minimized
-                             in
-                             Printf.printf "recorded: %s\n" path)
-                           record
-                     | _ -> ()
-                   end
-               | _ -> ()
-             end)
-               outs))
-        outcomes;
+        (fun (s : _ Check.swept) ->
+          let what = s.Check.sw_what in
+          let opt_v, res_v, mig_v = s.Check.sw_extra in
+          handle_opt ~what opt_v;
+          handle_residency ~what res_v;
+          Option.iter
+            (fun r ->
+              incr mig_checked;
+              mig_migrated := !mig_migrated + r.Check.mg_migrated;
+              mig_deaths := !mig_deaths + List.length r.Check.mg_dead;
+              if not (Check.migrated_ok r) then begin
+                incr mig_failures;
+                migrate_failed ~what r
+              end)
+            mig_v;
+          List.iter
+            (fun (r : Check.report) ->
+              (match
+                 Check.expected_applicable s.Check.sw_pattern r.transform
+               with
+              | Some b when b <> (r.sites > 0) ->
+                  incr failures;
+                  bump r.transform 1 0 1;
+                  Printf.printf "  %-11s FAILED: expected %sapplicable on %s\n"
+                    (Check.transform_name r.transform)
+                    (if b then "" else "NOT ")
+                    what
+              | _ -> bump r.transform 1 0 0);
+              if r.sites > 0 then begin
+                incr applicable_total;
+                bump r.transform 0 1 0;
+                if not (Check.verdict_ok r.transform r.verdict) then begin
+                  bump r.transform 0 0 1;
+                  transform_failed ~what ~on:(" on " ^ what) ~source:what
+                    ~prog:s.Check.sw_prog r.transform r.verdict
+                end
+              end)
+            s.Check.sw_reports)
+        swept;
       List.iter
         (fun txf ->
           match Hashtbl.find_opt stats txf with
-          | Some (checked, applicable, divergences) ->
+          | Some (checked, applicable, failed) ->
               Printf.printf
                 "%-11s checked %d instances, %d applicable, %d failures\n"
                 (Check.transform_name txf)
-                checked applicable divergences
+                checked applicable failed
           | None -> ())
         txfs;
-      if devices > 1 || streams > 1 then
+      if migrate then
         Printf.printf
           "%-11s checked %d instances, %d blocks migrated, %d device \
            deaths, %d failures\n"
-          "migrate" !mig_checked !mig_migrated_total !mig_deaths_total
-          !mig_failures
+          "migrate" !mig_checked !mig_migrated !mig_deaths !mig_failures
     end;
     if file = None && runs = 0 then
       die_usage "check: need FILE and/or --runs N";
@@ -1123,9 +1028,13 @@ let check_cmd =
           transformed programs on the reference interpreter and compare \
           output, return value, and final global state")
     Term.(
-      const run $ file $ transform $ runs $ seed $ nblocks $ fuel $ inject
-      $ record $ faults_arg $ jobs $ eval_arg $ o $ midend_passes_arg
-      $ residency $ devices_arg $ streams_arg)
+      const run $ file $ transform $ runs $ seed $ nblocks
+      $ fuel_arg ~doc:"Interpreter statement budget per run"
+      $ inject $ record $ faults_arg
+      $ jobs_arg ~pool_for:"the --runs sweep"
+          ~invariant:"Output and exit code are identical"
+      $ eval_arg $ o $ midend_passes_arg $ residency
+      $ grid_term ~cmd:"check" (Term.const None))
 
 (* --- tune --- *)
 
@@ -1138,24 +1047,6 @@ let tune_cmd =
       value & flag
       & info [ "all" ] ~doc:"Tune every workload in the registry")
   in
-  let devices =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "devices" ] ~docv:"N"
-          ~doc:
-            "Largest device count to search (default 2); mutually \
-             exclusive with $(b,--machine)")
-  in
-  let streams =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "streams" ] ~docv:"K"
-          ~doc:
-            "Largest per-device stream count to search (default 2); \
-             mutually exclusive with $(b,--machine)")
-  in
   let mode =
     Arg.(
       value & opt string "auto"
@@ -1164,17 +1055,7 @@ let tune_cmd =
             "Search mode: $(b,auto) (exhaustive for small grids, hill \
              climbing beyond), $(b,exhaustive), or $(b,hill)")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for candidate evaluation (default: \
-             $(b,COMP_JOBS) if set, else the recommended domain count). \
-             The report is byte-identical at any width")
-  in
-  let run names all machine devices streams mode jobs =
+  let run names all fleet mode jobs =
     let mode =
       match mode with
       | "auto" -> Tune.Auto
@@ -1184,21 +1065,6 @@ let tune_cmd =
           die_usage
             (Printf.sprintf "unknown mode %s (known: auto exhaustive hill)" m)
     in
-    if machine <> None && (devices <> None || streams <> None) then
-      die_usage "tune: --machine and --devices/--streams are mutually \
-                 exclusive";
-    let fleet =
-      match machine with
-      | Some spec -> parse_machine spec
-      | None ->
-          {
-            Machine.Fleet.f_devices = Option.value devices ~default:2;
-            f_streams = Option.value streams ~default:2;
-            f_scales = [];
-          }
-    in
-    if fleet.Machine.Fleet.f_devices < 1 || fleet.Machine.Fleet.f_streams < 1
-    then die_usage "tune: --devices and --streams must be at least 1";
     let names = if all then Workloads.Registry.names else names in
     if names = [] then
       die_usage
@@ -1225,24 +1091,9 @@ let tune_cmd =
     in
     Printf.printf "auto-tune: devices<=%d streams<=%d%s\n"
       fleet.Machine.Fleet.f_devices fleet.Machine.Fleet.f_streams
-      (match fleet.Machine.Fleet.f_scales with
+      (match Machine.Fleet.scale_clauses fleet with
       | [] -> ""
-      | s ->
-          " "
-          ^ String.concat ","
-              (List.concat_map
-                 (fun (d, (sc : Machine.Config.scale)) ->
-                   (if sc.Machine.Config.sc_cores <> 1.0 then
-                      [
-                        Printf.sprintf "dev%d:cores=%g" d
-                          sc.Machine.Config.sc_cores;
-                      ]
-                    else [])
-                   @
-                   if sc.Machine.Config.sc_bw <> 1.0 then
-                     [ Printf.sprintf "dev%d:bw=%g" d sc.Machine.Config.sc_bw ]
-                   else [])
-                 s));
+      | cs -> " " ^ String.concat "," cs);
     Printf.printf "  %-14s %-33s %12s %12s %8s %9s %7s\n" "workload"
       "best config" "makespan" "default" "speedup" "explored" "pruned";
     List.iter
@@ -1277,8 +1128,18 @@ let tune_cmd =
           makespan-optimal offload configuration, over an optionally \
           heterogeneous device fleet")
     Term.(
-      const run $ names_arg $ all $ machine_arg $ devices $ streams $ mode
-      $ jobs)
+      const run $ names_arg $ all
+      $ fleet_term ~cmd:"tune" ~default:2
+          ~devices_doc:
+            "Largest device count to search (default 2); mutually exclusive \
+             with $(b,--machine)"
+          ~streams_doc:
+            "Largest per-device stream count to search (default 2); mutually \
+             exclusive with $(b,--machine)"
+          machine_arg
+      $ mode
+      $ jobs_arg ~pool_for:"candidate evaluation"
+          ~invariant:"The report is byte-identical")
 
 (* --- serve --- *)
 
@@ -1302,16 +1163,6 @@ let serve_cmd =
             "Client mode: send stdin's request lines to the server at \
              $(docv) and print its response lines (retries while the \
              server starts up)")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for request execution (default: \
-             $(b,COMP_JOBS) if set, else the recommended domain count). \
-             The response stream is byte-identical at any width")
   in
   let queue =
     Arg.(
@@ -1378,8 +1229,10 @@ let serve_cmd =
           one JSON response per line, with admission control, \
           per-request budgets and a request-shared compile cache")
     Term.(
-      const run $ socket $ connect $ jobs $ queue $ batch $ max_fuel
-      $ max_time)
+      const run $ socket $ connect
+      $ jobs_arg ~pool_for:"request execution"
+          ~invariant:"The response stream is byte-identical"
+      $ queue $ batch $ max_fuel $ max_time)
 
 (* --- --profile (top-level) --- *)
 

@@ -19,8 +19,11 @@
     - {!Metamorphic} checks the cost model's own invariants on
       simulated plans, where there is no output to diff.
 
-    Drivers: [compc check] (files and generated instances) and the
-    [check] mode of [bench/main.ml] (the workload registry). *)
+    Drivers: [compc check] (one file through {!check_program}, or
+    {!check_faulted} under a fault plan; generated instances through
+    {!sweep}, which runs {!check_program} on each), the [check] mode
+    of [bench/main.ml] (the workload registry) and the benchmark's
+    [check] workload, which calls {!check_program} as the sweep does. *)
 
 module Genprog = Genprog
 module Shrink = Shrink
@@ -189,13 +192,13 @@ let compare_outcomes (a : Minic.Interp.outcome) (b : Minic.Interp.outcome) =
         | Some d -> Diverged d
         | None -> Equal)
 
-(* The verdict on [transformed] against the original's outcome, forced
-   only once [transformed] typechecks. *)
-let judge ~run orig transformed =
+(* The verdict on [transformed] against the original's outcome: both
+   runs are forced only once [transformed] typechecks. *)
+let judge orig transformed ran =
   match Minic.Typecheck.check_program transformed with
   | Error e -> Transform_failed ("type error: " ^ e)
   | Ok _ -> (
-      match (Lazy.force orig, run transformed) with
+      match (Lazy.force orig, Lazy.force ran) with
       | Error oe, Error te -> Both_failed { orig_err = oe; transformed_err = te }
       | Error oe, Ok _ -> Orig_failed oe
       | Ok _, Error te -> Transform_failed te
@@ -215,7 +218,7 @@ let judge ~run orig transformed =
     alias enforce it. *)
 let equiv ?(engine = Minic.Interp.Compiled) ?fuel orig transformed =
   let run = Minic.Compile_eval.run ~engine ?fuel in
-  judge ~run (lazy (run orig)) transformed
+  judge (lazy (run orig)) transformed (lazy (run transformed))
 
 (** Is [verdict] acceptable for [txf]?  [Equal] always is; so is both
     sides failing identically before the transform even matters.  An
@@ -247,17 +250,16 @@ let verdict_str = function
 
 type report = { transform : transform; sites : int; verdict : verdict }
 
-(** Every transform in [transforms] applied (independently) to [prog],
-    with its site count and oracle verdict.  [inject] corrupts each
-    rewritten program first — the harness must then flag it.
-
-    The verdicts are those of {!equiv} on each rewrite, but the
-    original runs once, at the first rewrite that needs it, and
-    neither side compiles through the per-domain cache: these programs
-    run here once each, and caching them would only fill the cache of
-    a long-lived pool domain. *)
-let check_program ?(engine = Minic.Interp.Compiled) ?fuel ?nblocks
-    ?(inject = false) ?(transforms = all_transforms) prog =
+(* The one per-transform loop.  Each transform in [transforms] is
+   applied alone to [prog], its rewrite corrupted first under [inject]
+   and judged against the original, which runs at most once.  [k]
+   receives each report together with the run of the program the
+   transform left (the original itself where it did not apply),
+   forced at most once, by the verdict or by [k].  Neither side
+   compiles through the per-domain cache: these programs run here once
+   each, and caching them would only fill the cache of a long-lived
+   pool domain. *)
+let each_transform ~engine ?fuel ?nblocks ~inject ~transforms prog k =
   let run p =
     match engine with
     | Minic.Interp.Reference -> Minic.Interp.run ?fuel p
@@ -268,11 +270,84 @@ let check_program ?(engine = Minic.Interp.Compiled) ?fuel ?nblocks
   List.map
     (fun txf ->
       let prog', sites = apply ?nblocks txf prog in
-      if sites = 0 then { transform = txf; sites; verdict = Equal }
+      if sites = 0 then k { transform = txf; sites; verdict = Equal } orig
       else
         let prog' = if inject then Inject.corrupt prog' else prog' in
-        { transform = txf; sites; verdict = judge ~run orig prog' })
+        let ran = lazy (run prog') in
+        k { transform = txf; sites; verdict = judge orig prog' ran } ran)
     transforms
+
+(** Every transform in [transforms] applied (independently) to [prog],
+    with its site count and oracle verdict.  [inject] corrupts each
+    rewritten program first — the harness must then flag it.
+
+    The verdicts are those of {!equiv} on each rewrite, but the
+    original runs once, at the first rewrite that needs it, and
+    neither side compiles through the per-domain cache. *)
+let check_program ?(engine = Minic.Interp.Compiled) ?fuel ?nblocks
+    ?(inject = false) ?(transforms = all_transforms) prog =
+  each_transform ~engine ?fuel ?nblocks ~inject ~transforms prog (fun r _ ->
+      r)
+
+(** {1 Generated-program sweeps} *)
+
+type 'a swept = {
+  sw_pattern : Genprog.pattern;
+  sw_what : string;  (** ["generated pattern=P seed=S"] *)
+  sw_prog : Minic.Ast.program;  (** the generated original *)
+  sw_extra : 'a;  (** [extra sw_prog], the caller's own oracles *)
+  sw_reports : report list;  (** {!check_program} on [sw_prog] *)
+}
+
+(** [sweep ~extra ~runs ~seed ()] checks [runs] instances of every
+    {!Genprog} family.  Run [k] generates each family, in
+    {!Genprog.all_patterns} order, at the seed
+    [Parallel.derive_seed ~root:seed k], which no pool width changes.
+    Each run is one task on the [jobs]-wide pool: it parses and
+    typechecks each program, hands it to [extra], then checks it with
+    {!check_program}.  The results come back in submission order, so
+    a caller that prints them in that order prints the same bytes at
+    any width.  A program that fails to parse or typecheck is a
+    generator bug: it raises [Failure] with the message and the
+    source. *)
+let sweep ?jobs ?engine ?fuel ?nblocks ?inject ?transforms ~extra ~runs
+    ~seed () =
+  let run k =
+    let s = Parallel.derive_seed ~root:seed k in
+    List.map
+      (fun pattern ->
+        let src = Genprog.generate pattern ~seed:s in
+        let what =
+          Printf.sprintf "generated pattern=%s seed=%d"
+            (Genprog.pattern_name pattern)
+            s
+        in
+        let bug stage e =
+          failwith
+            (Printf.sprintf "generator bug (%s): %s: %s\n%s" what stage e src)
+        in
+        let prog =
+          match Minic.Parser.program_of_string src with
+          | Error e -> bug "parse" e
+          | Ok p -> (
+              match Minic.Typecheck.check_program p with
+              | Error e -> bug "type" e
+              | Ok _ -> p)
+        in
+        let extra = extra prog in
+        let reports =
+          check_program ?engine ?fuel ?nblocks ?inject ?transforms prog
+        in
+        {
+          sw_pattern = pattern;
+          sw_what = what;
+          sw_prog = prog;
+          sw_extra = extra;
+          sw_reports = reports;
+        })
+      Genprog.all_patterns
+  in
+  List.concat (Parallel.run ?jobs runs run)
 
 (** {1 Fault-plan differential checking}
 
@@ -294,23 +369,21 @@ type faulted_report = {
   f_died : bool;  (** device death the policy could not recover *)
 }
 
-(** Each transform applied to [prog], oracle-checked, then replayed
-    clean and under [spec] with recovery. *)
-let check_faulted ?engine ?fuel ?nblocks ?(transforms = all_transforms) ~spec
-    prog =
-  List.map
-    (fun txf ->
-      let prog', sites = apply ?nblocks txf prog in
-      let verdict =
-        if sites = 0 then Equal else equiv ?engine ?fuel prog prog'
-      in
+(** Each transform applied to [prog], oracle-checked as by
+    {!check_program}, then the events of the run that judged it (the
+    original's where it did not apply) replayed clean and under [spec]
+    with recovery. *)
+let check_faulted ?(engine = Minic.Interp.Compiled) ?fuel ?nblocks
+    ?(transforms = all_transforms) ~spec prog =
+  let clean_cfg = Machine.Config.paper_default in
+  let fault_cfg = Machine.Config.with_faults clean_cfg spec in
+  each_transform ~engine ?fuel ?nblocks ~inject:false ~transforms prog
+    (fun r ran ->
       let events =
-        match Minic.Compile_eval.run ?engine ?fuel prog' with
+        match Lazy.force ran with
         | Ok o -> o.Minic.Interp.events
         | Error _ -> []
       in
-      let clean_cfg = Machine.Config.paper_default in
-      let fault_cfg = Machine.Config.with_faults clean_cfg spec in
       let clean_s =
         (Runtime.Replay.schedule clean_cfg events).Machine.Engine.makespan
       in
@@ -323,15 +396,14 @@ let check_faulted ?engine ?fuel ?nblocks ?(transforms = all_transforms) ~spec
         | exception Fault.Device_dead _ -> (Float.nan, false, true)
       in
       {
-        f_transform = txf;
-        f_sites = sites;
-        f_verdict = verdict;
+        f_transform = r.transform;
+        f_sites = r.sites;
+        f_verdict = r.verdict;
         f_clean_s = clean_s;
         f_faulted_s = faulted_s;
         f_fellback = fellback;
         f_died = died;
       })
-    transforms
 
 (** Acceptable faulted run: the oracle verdict holds and recovery
     completed (no unrecovered device death, makespan finite). *)
@@ -568,20 +640,19 @@ let check_residency ?(engine = Minic.Interp.Compiled) ?fuel prog =
 (** {1 Shrinking} *)
 
 (* A shrink candidate must keep failing the *same way*: well-typed,
-   transform still applicable, oracle still reporting a divergence. *)
+   transform still applicable, oracle still reporting a divergence.  A
+   candidate the check raises on (a rewrite that cannot handle it) is
+   no counterexample. *)
 let diverges ?engine ?fuel ?nblocks ~inject txf prog =
   match Minic.Typecheck.check_program prog with
   | Error _ -> false
   | Ok _ -> (
-      match apply ?nblocks txf prog with
+      match
+        check_program ?engine ?fuel ?nblocks ~inject ~transforms:[ txf ] prog
+      with
       | exception _ -> false
-      | _, 0 -> false
-      | prog', _ -> (
-          let prog' = if inject then Inject.corrupt prog' else prog' in
-          match equiv ?engine ?fuel prog prog' with
-          | Diverged _ -> true
-          | Equal | Orig_failed _ | Transform_failed _ | Both_failed _ ->
-              false))
+      | [ { verdict = Diverged _; _ } ] -> true
+      | _ -> false)
 
 (** Minimize a program whose [txf]-rewrite diverges (with the same
     [inject] setting used to find it). *)

@@ -137,23 +137,23 @@ let parse s =
              fleet.f_devices)
     | None -> Ok fleet
 
+let scale_clauses f =
+  List.concat_map
+    (fun (d, (s : Config.scale)) ->
+      (if s.Config.sc_cores <> 1.0 then
+         [ Printf.sprintf "dev%d:cores=%g" d s.Config.sc_cores ]
+       else [])
+      @
+      if s.Config.sc_bw <> 1.0 then
+        [ Printf.sprintf "dev%d:bw=%g" d s.Config.sc_bw ]
+      else [])
+    f.f_scales
+
 let to_string f =
-  let scale_clauses =
-    List.concat_map
-      (fun (d, (s : Config.scale)) ->
-        (if s.Config.sc_cores <> 1.0 then
-           [ Printf.sprintf "dev%d:cores=%g" d s.Config.sc_cores ]
-         else [])
-        @
-        if s.Config.sc_bw <> 1.0 then
-          [ Printf.sprintf "dev%d:bw=%g" d s.Config.sc_bw ]
-        else [])
-      f.f_scales
-  in
   String.concat ","
     (Printf.sprintf "devices=%d" f.f_devices
     :: Printf.sprintf "streams=%d" f.f_streams
-    :: scale_clauses)
+    :: scale_clauses f)
 
 (** Install the fleet into a machine config: device/stream grid plus
     the heterogeneity scales. *)

@@ -28,6 +28,10 @@ val error_message : parse_error -> string
 val parse : string -> (t, parse_error) result
 (** Parse a spec; [""] is {!default}. *)
 
+val scale_clauses : t -> string list
+(** The [devN:cores=F] / [devN:bw=F] clauses of the fleet's scales, in
+    device order; a factor of 1.0 has none. *)
+
 val to_string : t -> string
 (** Canonical spec text; [parse (to_string f) = Ok f] for any valid
     [f] (scale clauses at 1.0 are omitted). *)

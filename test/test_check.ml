@@ -196,6 +196,169 @@ let diff_tests =
           Check.Genprog.all_patterns);
   ]
 
+(* {1 One loop: the sweep and the faulted check against references} *)
+
+(* Reference for [Check.sweep]: the plain loop, each transform applied,
+   corrupted under [inject], and judged by [equiv] against a fresh run
+   of the original. *)
+let reference_sweep ~inject ~runs ~seed =
+  List.concat_map
+    (fun k ->
+      let s = Parallel.derive_seed ~root:seed k in
+      List.map
+        (fun pat ->
+          let prog = parse_gen pat s in
+          let reports =
+            List.map
+              (fun txf ->
+                let prog', sites = Check.apply txf prog in
+                let verdict =
+                  if sites = 0 then Check.Equal
+                  else
+                    let prog' =
+                      if inject then Check.Inject.corrupt prog' else prog'
+                    in
+                    Check.equiv prog prog'
+                in
+                { Check.transform = txf; sites; verdict })
+              Check.all_transforms
+          in
+          ( pat,
+            Printf.sprintf "generated pattern=%s seed=%d"
+              (Check.Genprog.pattern_name pat)
+              s,
+            reports ))
+        Check.Genprog.all_patterns)
+    (List.init runs Fun.id)
+
+let swept ?jobs ~inject ~runs ~seed () =
+  List.map
+    (fun (s : string Check.swept) ->
+      if s.sw_extra <> Minic.Pretty.program_to_string s.sw_prog then
+        Alcotest.failf "%s: extra did not see the checked program" s.sw_what;
+      (s.sw_pattern, s.sw_what, s.sw_reports))
+    (Check.sweep ?jobs ~inject ~extra:Minic.Pretty.program_to_string ~runs
+       ~seed ())
+
+(* Reference for [Check.check_faulted]: each rewrite judged by
+   [equiv], then run again for the events it replays. *)
+let reference_faulted ~spec prog =
+  List.map
+    (fun txf ->
+      let prog', sites = Check.apply txf prog in
+      let verdict =
+        if sites = 0 then Check.Equal else Check.equiv prog prog'
+      in
+      let events =
+        match Minic.Compile_eval.run prog' with
+        | Ok o -> o.Minic.Interp.events
+        | Error _ -> []
+      in
+      let clean_cfg = Machine.Config.paper_default in
+      let fault_cfg = Machine.Config.with_faults clean_cfg spec in
+      let clean_s =
+        (Runtime.Replay.schedule clean_cfg events).Machine.Engine.makespan
+      in
+      let faulted_s, fellback, died =
+        match Runtime.Replay.schedule_recovered fault_cfg events with
+        | r ->
+            ( r.Machine.Engine.result.makespan,
+              r.Machine.Engine.died_at <> None,
+              false )
+        | exception Fault.Device_dead _ -> (Float.nan, false, true)
+      in
+      {
+        Check.f_transform = txf;
+        f_sites = sites;
+        f_verdict = verdict;
+        f_clean_s = clean_s;
+        f_faulted_s = faulted_s;
+        f_fellback = fellback;
+        f_died = died;
+      })
+    Check.all_transforms
+
+let same_faulted (a : Check.faulted_report) (b : Check.faulted_report) =
+  let same_bits x y =
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  in
+  a.f_transform = b.f_transform
+  && a.f_sites = b.f_sites
+  && a.f_verdict = b.f_verdict
+  && same_bits a.f_clean_s b.f_clean_s
+  && same_bits a.f_faulted_s b.f_faulted_s
+  && a.f_fellback = b.f_fellback
+  && a.f_died = b.f_died
+
+let faulted_programs () =
+  List.map
+    (fun (w : Workloads.Workload.t) ->
+      ("workload " ^ w.name, Workloads.Workload.program w))
+    Workloads.Registry.all
+  @ List.filter_map
+      (fun f ->
+        if Filename.check_suffix f ".mc" then
+          let path = Filename.concat "corpus" f in
+          Some
+            (path, parse (In_channel.with_open_text path In_channel.input_all))
+        else None)
+      (List.sort compare (Array.to_list (Sys.readdir "corpus")))
+  @ List.concat_map
+      (fun pat ->
+        List.map
+          (fun seed ->
+            ( Printf.sprintf "%s seed=%d"
+                (Check.Genprog.pattern_name pat)
+                seed,
+              parse_gen pat seed ))
+          [ 0; 1; 2 ])
+      Check.Genprog.all_patterns
+
+let one_loop_tests =
+  [
+    tc "sweep equals the apply-inject-equiv loop" (fun () ->
+        List.iter
+          (fun (seed, inject) ->
+            if
+              swept ~jobs:2 ~inject ~runs:3 ~seed ()
+              <> reference_sweep ~inject ~runs:3 ~seed
+            then Alcotest.failf "seed=%d inject=%b differs" seed inject)
+          [ (7, false); (7, true); (11, false); (11, true) ]);
+    tc "sweep results are identical at jobs 1, 2 and 4" (fun () ->
+        let at jobs = swept ~jobs ~inject:false ~runs:3 ~seed:7 () in
+        let one = at 1 in
+        List.iter
+          (fun jobs ->
+            if at jobs <> one then
+              Alcotest.failf "jobs=%d differs from 1" jobs)
+          [ 2; 4 ]);
+    tc "check_faulted equals its reference, makespans bit for bit"
+      (fun () ->
+        let programs = faulted_programs () in
+        List.iter
+          (fun spec_s ->
+            let spec =
+              match Fault.parse spec_s with
+              | Ok s -> s
+              | Error e -> Alcotest.fail (Fault.error_message e)
+            in
+            List.iter
+              (fun (name, prog) ->
+                if
+                  not
+                    (List.equal same_faulted
+                       (Check.check_faulted ~spec prog)
+                       (reference_faulted ~spec prog))
+                then Alcotest.failf "%s under %s differs" name spec_s)
+              programs)
+          [
+            "xfer@0,seed=7";
+            "kill@0,dead-after=1,seed=7";
+            "kill@0,dead-after=1,no-fallback,seed=7";
+            "reset@0.001,seed=5";
+          ]);
+  ]
+
 (* {1 Fault injection and shrinking} *)
 
 let inject_tests =
@@ -298,5 +461,6 @@ let metamorphic_tests =
   ]
 
 let suite =
-  oracle_tests @ gen_tests @ diff_tests @ inject_tests @ shrink_tests
+  oracle_tests @ gen_tests @ diff_tests @ one_loop_tests @ inject_tests
+  @ shrink_tests
   @ corpus_tests @ metamorphic_tests
