@@ -407,7 +407,10 @@ let run_cmd =
              (devices, streams, nblocks) up to the caps given by \
              $(b,--devices)/$(b,--streams) (or $(b,--machine)), optimize \
              at the winning block count, and run on the winning grid.  \
-             The tuned point is reported on stderr")
+             The search sees the program the COMP pipeline would lower \
+             (after the mid-end under $(b,-O)), not the $(b,--residency) \
+             rewrite, which still runs after the pipeline.  The tuned \
+             point is reported on stderr")
   in
   let run file fuel o mpasses report replay engine residency faults fleet auto
       =
@@ -415,25 +418,17 @@ let run_cmd =
     let obs = if report then Some (Obs.create ()) else None in
     let mid = midend ~o ~passes:mpasses ~report:(report && not residency) in
     let prog =
-      match mid with
-      | Some mid -> fst (Comp.optimize ?obs ~opt:mid prog)
-      | None -> prog
+      match mid with Some mid -> Opt.run ?obs ~passes:mid prog | None -> prog
     in
     (if mid <> None then
        Option.iter (fun s -> Printf.eprintf "%s\n" (Opt.report s)) obs);
-    let prog =
-      if residency then fst (Residency.transform ?obs prog) else prog
-    in
-    (if residency then
-       Option.iter (fun s -> Printf.eprintf "%s\n" (Residency.report s)) obs);
-    (* --auto: tune on the program as it stands (post mid-end and
-       residency), then run the pipeline-optimized program on the
-       tuned grid *)
+    (* --auto tunes the program the COMP pipeline would lower, so the
+       pipeline below runs once, at the tuned block count *)
     let faulted =
       Machine.Config.with_faults Machine.Config.paper_default faults
     in
-    let prog, fleet =
-      if not auto then (prog, fleet)
+    let tuned =
+      if not auto then None
       else begin
         let base =
           Machine.Config.with_scales faulted fleet.Machine.Fleet.f_scales
@@ -444,18 +439,37 @@ let run_cmd =
                ~max_devices:fleet.Machine.Fleet.f_devices
                ~max_streams:fleet.Machine.Fleet.f_streams ~name:file prog)
         in
-        let rep = Tune.run pre in
-        let c = rep.Tune.r_best.Tune.pt_config in
-        Printf.eprintf
-          "// auto-tuned: %s (makespan %.6f s vs %.6f s default, %.2fx; \
-           explored %d, pruned %d)\n"
-          (Tune.config_to_string c) rep.Tune.r_best.Tune.pt_makespan
-          rep.Tune.r_default.Tune.pt_makespan (Tune.speedup rep)
-          rep.Tune.r_explored rep.Tune.r_pruned;
-        ( fst (Comp.optimize ~nblocks:c.Tune.nblocks prog),
-          { fleet with f_devices = c.Tune.devices; f_streams = c.Tune.streams }
-        )
+        Some (Tune.run pre)
       end
+    in
+    let prog =
+      if mid = None && not auto then prog
+      else
+        fst
+          (Comp.optimize
+             ?nblocks:
+               (Option.map
+                  (fun rep -> rep.Tune.r_best.Tune.pt_config.Tune.nblocks)
+                  tuned)
+             prog)
+    in
+    let prog =
+      if residency then fst (Residency.transform ?obs prog) else prog
+    in
+    (if residency then
+       Option.iter (fun s -> Printf.eprintf "%s\n" (Residency.report s)) obs);
+    let fleet =
+      match tuned with
+      | None -> fleet
+      | Some rep ->
+          let c = rep.Tune.r_best.Tune.pt_config in
+          Printf.eprintf
+            "// auto-tuned: %s (makespan %.6f s vs %.6f s default, %.2fx; \
+             explored %d, pruned %d)\n"
+            (Tune.config_to_string c) rep.Tune.r_best.Tune.pt_makespan
+            rep.Tune.r_default.Tune.pt_makespan (Tune.speedup rep)
+            rep.Tune.r_explored rep.Tune.r_pruned;
+          { fleet with f_devices = c.Tune.devices; f_streams = c.Tune.streams }
     in
     match Minic.Compile_eval.run ~engine ~fuel prog with
     | Ok o ->

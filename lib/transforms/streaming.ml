@@ -29,6 +29,7 @@ type failure =
   | Invariant_out of string
   | No_streamed_input
   | Unknown_function of string
+  | Name_clash of string
 
 let pp_failure fmt = function
   | No_offload_spec -> Format.fprintf fmt "loop has no offload pragma"
@@ -49,6 +50,9 @@ let pp_failure fmt = function
         a
   | No_streamed_input -> Format.fprintf fmt "no streamable input array"
   | Unknown_function f -> Format.fprintf fmt "unknown function %s" f
+  | Name_clash v ->
+      Format.fprintf fmt
+        "the program already uses %s, a name the rewrite would declare" v
 
 type role = Rin | Rout | Rinout
 
@@ -71,6 +75,73 @@ type info = {
 
 type memory = Full | Double_buffered
 
+(** {1 Reserved names}
+
+    A rewrite declares fixed names in the block that replaces the
+    region: the block-loop scalars below, and per array the device
+    buffers of either layout ([<a>_mic], [<a>_mic1], [<a>_mic2],
+    [<a>_b]).  A program that already uses one of them would have it
+    rebound inside that block, so such a region is refused
+    ({!Name_clash}). *)
+
+(* names used by the generated code; deterministic per loop so tests can
+   inspect the output *)
+let nblk_v = "nblk__"
+let bsize_v = "bsize__"
+let blk_v = "blk__"
+let out_buffer_name arr = arr ^ "_b"
+
+let streamed a = a.coeff >= 1
+let is_input a = a.role = Rin || a.role = Rinout
+let is_output a = a.role = Rout || a.role = Rinout
+
+(* every declared name ends in one of these suffixes, so a program name
+   without one can never clash *)
+let could_clash v =
+  String.ends_with ~suffix:"__" v
+  || String.ends_with ~suffix:"_mic" v
+  || String.ends_with ~suffix:"_mic1" v
+  || String.ends_with ~suffix:"_mic2" v
+  || String.ends_with ~suffix:"_b" v
+
+(* the names of [prog] a rewrite could declare, in program order.  A
+   well-typed program declares every name it uses, so its declarations
+   are the names it uses. *)
+let clash_candidates prog =
+  let acc = ref [] in
+  let name v = if could_clash v then acc := v :: !acc in
+  let decl () = function
+    | Sdecl (_, v, _) -> name v
+    | Sfor fl -> name fl.index
+    | _ -> ()
+  in
+  List.iter
+    (function
+      | Gfunc f ->
+          name f.fname;
+          List.iter (fun p -> name p.pname) f.params;
+          fold_stmts decl () f.body
+      | Gvar (_, v, _) -> name v
+      | Gstruct _ -> ())
+    prog;
+  List.rev !acc
+
+(* the first of [used] that the rewrite of [arrays] would declare, in
+   either memory layout *)
+let clash arrays used =
+  let declares v =
+    String.equal v nblk_v || String.equal v bsize_v || String.equal v blk_v
+    || List.exists
+         (fun a ->
+           String.equal v (Util.mic_name a.name)
+           || streamed a && is_input a
+              && (String.equal v (Util.mic_name_n a.name 1)
+                 || String.equal v (Util.mic_name_n a.name 2))
+           || (streamed a && is_output a && String.equal v (out_buffer_name a.name)))
+         arrays
+  in
+  List.find_opt declares used
+
 (** {1 Legality analysis} *)
 
 let ( let* ) = Result.bind
@@ -91,7 +162,9 @@ let clause_total spec name =
       if String.equal s.arr name then Some (S.add s.start s.len) else None)
     (spec.ins @ spec.outs @ spec.inouts)
 
-let analyze ?(nblocks = 10) prog (region : Analysis.Offload_regions.region) =
+(* [used]: {!clash_candidates} of the program the caller rewrites *)
+let analyze_with ~used ?(nblocks = 10) prog
+    (region : Analysis.Offload_regions.region) =
   let* spec = Option.to_result ~none:No_offload_spec region.spec in
   let* f =
     Option.to_result
@@ -241,23 +314,19 @@ let analyze ?(nblocks = 10) prog (region : Analysis.Offload_regions.region) =
     then Ok ()
     else Error No_streamed_input
   in
-  Ok { region; spec; arrays; nblocks }
+  (* last, so a region refused for any other reason keeps that reason *)
+  match clash arrays used with
+  | Some v -> Error (Name_clash v)
+  | None -> Ok { region; spec; arrays; nblocks }
+
+let analyze ?nblocks prog region =
+  analyze_with ~used:(clash_candidates prog) ?nblocks prog region
 
 (** Is the region streamable at all? *)
 let applicable prog region =
   match analyze prog region with Ok _ -> true | Error _ -> false
 
 (** {1 Code generation} *)
-
-(* names used by the generated code; deterministic per loop so tests can
-   inspect the output *)
-let nblk_v = "nblk__"
-let bsize_v = "bsize__"
-let blk_v = "blk__"
-
-let streamed a = a.coeff >= 1
-let is_input a = a.role = Rin || a.role = Rinout
-let is_output a = a.role = Rout || a.role = Rinout
 
 (* element range of array [a] touched by computation block [blk]:
    iterations [lo + blk*bsize, min(hi, lo + (blk+1)*bsize)) *)
@@ -452,7 +521,7 @@ let generate_double (i : info) =
   in
   let name_even a = Util.mic_name_n a.name 1 in
   let name_odd a = Util.mic_name_n a.name 2 in
-  let name_out a = a.name ^ "_b" in
+  let name_out a = out_buffer_name a.name in
   let name_invariant a = Util.mic_name a.name in
   let decls =
     [
@@ -565,9 +634,8 @@ let generate_double (i : info) =
           };
       ])
 
-(** Apply the streaming transformation to one region. *)
-let transform ?(nblocks = 10) ?(memory = Full) prog region =
-  let* info = analyze ~nblocks prog region in
+let transform_with ~used ?(nblocks = 10) ?(memory = Full) prog region =
+  let* info = analyze_with ~used ~nblocks prog region in
   let replacement =
     match memory with
     | Full -> generate_full info
@@ -577,13 +645,36 @@ let transform ?(nblocks = 10) ?(memory = Full) prog region =
   | Some prog' -> Ok prog'
   | None -> Error No_offload_spec
 
+(** Apply the streaming transformation to one region. *)
+let transform ?nblocks ?memory prog region =
+  transform_with ~used:(clash_candidates prog) ?nblocks ?memory prog region
+
 (** Stream every offloaded region that passes the legality check.
-    Returns the rewritten program and the transformed region count. *)
+    Returns the rewritten program and the transformed region count.
+    The names the rewrites would capture are those of the input: a
+    region streamed earlier in the fold declares its names in its own
+    block, so it does not stop a later region from streaming. *)
 let transform_all ?(nblocks = 10) ?(memory = Full) prog =
+  let used = clash_candidates prog in
   let regions = Analysis.Offload_regions.offloaded prog in
   List.fold_left
     (fun (prog, n) region ->
-      match transform ~nblocks ~memory prog region with
+      match transform_with ~used ~nblocks ~memory prog region with
       | Ok prog' -> (prog', n + 1)
       | Error _ -> (prog, n))
     (prog, 0) regions
+
+(** {1 Re-blocking}
+
+    A streamed region reads its block count from one place, the
+    [int nblk__ = N;] that opens its block; everything else refers to
+    [nblk__] by name.  Because a program that already uses [nblk__] is
+    never streamed, every such declaration in a streamed program is one
+    the rewrite emitted. *)
+let reblock ~nblocks prog =
+  let set = function
+    | Sdecl (Tint, v, Some (Int_lit _)) when String.equal v nblk_v ->
+        Sdecl (Tint, v, Some (Int_lit nblocks))
+    | s -> s
+  in
+  map_funcs (fun f -> { f with body = map_block set f.body }) prog

@@ -11,7 +11,17 @@
 
     Thread reuse (Section III-C) changes only the execution schedule
     and lives in {!Runtime.Plan}; offload merging is
-    {!Merge_offload}. *)
+    {!Merge_offload}.
+
+    {b Reserved names.}  The block that replaces a streamed region
+    declares [nblk__], [bsize__] and [blk__], and per array the device
+    buffers of either layout: [<a>_mic] for every array, [<a>_mic1] and
+    [<a>_mic2] for a streamed input, [<a>_b] for a streamed output.  A
+    region whose program already uses one of the names its rewrite
+    would declare is refused with {!Name_clash}, since the rewrite
+    would rebind that name inside the block.  The check runs after
+    every other one, so a region refused for another reason keeps that
+    reason. *)
 
 type failure =
   | No_offload_spec
@@ -28,6 +38,9 @@ type failure =
   | Invariant_out of string
   | No_streamed_input
   | Unknown_function of string
+  | Name_clash of string
+      (** the program already uses this name, which the rewrite would
+          declare (see {e Reserved names} above) *)
 
 val pp_failure : Format.formatter -> failure -> unit
 
@@ -76,4 +89,22 @@ val transform_all :
   Minic.Ast.program ->
   Minic.Ast.program * int
 (** Stream every offloaded region that passes the legality check;
-    returns the count transformed. *)
+    returns the count transformed.  Name clashes are judged against the
+    names of the input program, so a program with two streamable
+    regions streams both. *)
+
+val reblock : nblocks:int -> Minic.Ast.program -> Minic.Ast.program
+(** Set the block count of every streamed region of a program to
+    [nblocks], by rewriting the [int nblk__ = N;] declarations the
+    rewrite emitted; the block count is read nowhere else.
+
+    Contract: for every program [p] whose lowering streamed at least
+    one region, every memory layout, and every [m, n >= 1],
+    [reblock ~nblocks:n (fst (Comp.optimize ~nblocks:m p))] is
+    AST-equal to [fst (Comp.optimize ~nblocks:n p)].  It is exact
+    because a program that already uses [nblk__] is never streamed
+    ({!Name_clash}), so every [nblk__] declaration of a streamed
+    program is one streaming emitted.  On a program that declares its
+    own [nblk__] and was not streamed, [reblock] would rewrite the
+    program's own variable: call it only on programs streaming
+    rewrote. *)

@@ -16,9 +16,9 @@
       ([devices], [streams], [nblocks]) — never by timing;
     - a memo table (plus an optional cross-search {!Cache}) answers
       re-visited points without re-simulation, and a caller-supplied
-      [keyfn] can alias configs that provably share a trace (two
-      [nblocks] the pipeline lowers identically), so the search never
-      re-simulates a visited point.
+      integer [keyfn] can alias configs that provably share a trace
+      (every [nblocks] of a kernel streaming leaves alone), so the
+      search never re-simulates a visited point.
 
     Search traffic lands in [tune.explored] / [tune.pruned]; the
     shared cache counts [tune.cache.hits] / [tune.cache.misses]. *)
@@ -30,7 +30,12 @@ open Machine
 type config = { devices : int; streams : int; nblocks : int }
 
 let compare_config a b =
-  compare (a.devices, a.streams, a.nblocks) (b.devices, b.streams, b.nblocks)
+  match Int.compare a.devices b.devices with
+  | 0 -> (
+      match Int.compare a.streams b.streams with
+      | 0 -> Int.compare a.nblocks b.nblocks
+      | c -> c)
+  | c -> c
 
 let config_to_string c =
   Printf.sprintf "devices=%d,streams=%d,nblocks=%d" c.devices c.streams
@@ -74,14 +79,15 @@ type mode = Auto | Exhaustive | Hill
 (* grids up to this size are searched exhaustively under [Auto] *)
 let exhaustive_threshold = 600
 
-(** Cross-search memo: (workload, machine, trace-key) -> makespan.
+(** Cross-search memo: (workload and machine, trace-key) -> makespan.
     Distinct from the serve [Source_cache]: that one memoizes front-end
     compilation keyed by source text; this one memoizes {e simulator
     evaluations} keyed by what the simulator sees.  Lives as long as
     the caller keeps it (one [compc tune] invocation, one bench
     sweep). *)
 module Cache = struct
-  type t = { tbl : (string, float) Hashtbl.t; obs : Obs.t option }
+  type key = string * int
+  type t = { tbl : (key, float) Hashtbl.t; obs : Obs.t option }
 
   let create ?obs () = { tbl = Hashtbl.create 256; obs }
   let bump c name = match c.obs with None -> () | Some o -> Obs.incr o name
@@ -115,99 +121,102 @@ let speedup r =
     r.r_default.pt_makespan /. r.r_best.pt_makespan
   else 1.0
 
+module Itbl = Hashtbl.Make (Int)
+
+(* configs are compared field by field and hashed from their integers *)
+module Ctbl = Hashtbl.Make (struct
+  type t = config
+
+  let equal a b = compare_config a b = 0
+  let hash c = (((c.devices * 65599) + c.streams) * 65599) + c.nblocks
+end)
+
 let search ?jobs ?obs ?cache ?(cache_prefix = "") ?(mode = Auto)
     ?(seeds = []) (sp : space) ~(eval : config -> float)
-    ~(keyfn : config -> string) : report =
+    ~(keyfn : config -> int) : report =
   let bump ?(by = 1) name =
     if by > 0 then
       match obs with None -> () | Some o -> Obs.incr ~by o name
   in
   let explored = ref 0 and pruned = ref 0 in
   (* within-search memo, keyed by [keyfn] *)
-  let memo : (string, float) Hashtbl.t = Hashtbl.create 64 in
+  let memo : float Itbl.t = Itbl.create 64 in
   let lookup k =
-    match Hashtbl.find_opt memo k with
+    match Itbl.find_opt memo k with
     | Some v -> Some v
     | None -> (
         match cache with
         | None -> None
         | Some c -> (
-            match Cache.find c (cache_prefix ^ k) with
+            match Cache.find c (cache_prefix, k) with
             | Some v ->
-                Hashtbl.add memo k v;
+                Itbl.add memo k v;
                 Some v
             | None -> None))
   in
   let store k v =
-    Hashtbl.replace memo k v;
-    match cache with None -> () | Some c -> Cache.add c (cache_prefix ^ k) v
+    Itbl.replace memo k v;
+    match cache with None -> () | Some c -> Cache.add c (cache_prefix, k) v
   in
-  (* every config ever costed, with its makespan; [order] keeps the
-     deterministic evaluation order for the final scan *)
-  let evaluated : (config, float) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
+  (* every config ever costed, with its makespan; [log] keeps the
+     points newest first, and [incumbent] is the fold of [better] over
+     them in evaluation order: min makespan, lexicographic config on
+     ties *)
+  let evaluated : float Ctbl.t = Ctbl.create 64 in
+  let log = ref [] in
+  let incumbent = ref None in
+  let better m c (b : point) =
+    m < b.pt_makespan
+    || (m = b.pt_makespan && compare_config c b.pt_config < 0)
+  in
   let record c m =
-    if not (Hashtbl.mem evaluated c) then begin
-      Hashtbl.add evaluated c m;
-      order := c :: !order
+    if not (Ctbl.mem evaluated c) then begin
+      Ctbl.add evaluated c m;
+      let pt = { pt_config = c; pt_makespan = m } in
+      log := pt :: !log;
+      match !incumbent with
+      | Some b when not (better m c b) -> ()
+      | _ -> incumbent := Some pt
     end
   in
   (* cost a batch of candidates: config-level and key-level duplicates
      and memo hits are answered in place (counted as pruned); only the
      distinct missing keys fan out over the pool, in first-seen order,
-     so the merge is submission-ordered and width-independent *)
+     so the merge is submission-ordered and width-independent.  Each
+     fresh config's key is computed once. *)
   let evaluate configs =
-    let requested = ref 0 in
-    let missing = ref [] in
-    let batch_keys : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun c ->
-        if not (Hashtbl.mem evaluated c) then begin
-          incr requested;
-          let k = keyfn c in
-          if
-            (not (Hashtbl.mem batch_keys k))
-            && Option.is_none (lookup k)
-          then begin
-            Hashtbl.add batch_keys k ();
-            missing := (c, k) :: !missing
-          end
-        end)
-      configs;
-    let missing = Array.of_list (List.rev !missing) in
     let fresh =
-      Parallel.run ?jobs (Array.length missing) (fun i ->
-          eval (fst missing.(i)))
+      List.filter_map
+        (fun c -> if Ctbl.mem evaluated c then None else Some (c, keyfn c))
+        configs
     in
-    List.iteri (fun i m -> store (snd missing.(i)) m) fresh;
-    explored := !explored + Array.length missing;
-    pruned := !pruned + (!requested - Array.length missing);
-    bump ~by:(Array.length missing) "tune.explored";
-    bump ~by:(!requested - Array.length missing) "tune.pruned";
+    let requested = List.length fresh in
+    let batch_keys = Itbl.create 16 in
+    let missing =
+      List.filter
+        (fun (_, k) ->
+          if Itbl.mem batch_keys k || Option.is_some (lookup k) then false
+          else begin
+            Itbl.add batch_keys k ();
+            true
+          end)
+        fresh
+      |> Array.of_list
+    in
+    let n = Array.length missing in
+    let made =
+      Parallel.run ?jobs n (fun i -> eval (fst missing.(i)))
+    in
+    List.iteri (fun i m -> store (snd missing.(i)) m) made;
+    explored := !explored + n;
+    pruned := !pruned + (requested - n);
+    bump ~by:n "tune.explored";
+    bump ~by:(requested - n) "tune.pruned";
     (* resolve every requested config from the memo, batch order *)
-    List.iter
-      (fun c ->
-        if not (Hashtbl.mem evaluated c) then
-          record c (Hashtbl.find memo (keyfn c)))
-      configs
+    List.iter (fun (c, k) -> record c (Itbl.find memo k)) fresh
   in
   let best () =
-    (* scan everything evaluated; min makespan, lexicographic config
-       on ties — a fold over the full set, so evaluation order cannot
-       leak into the winner *)
-    List.fold_left
-      (fun acc c ->
-        let m = Hashtbl.find evaluated c in
-        match acc with
-        | None -> Some { pt_config = c; pt_makespan = m }
-        | Some b ->
-            if
-              m < b.pt_makespan
-              || (m = b.pt_makespan && compare_config c b.pt_config < 0)
-            then Some { pt_config = c; pt_makespan = m }
-            else Some b)
-      None (List.rev !order)
-    |> function
+    match !incumbent with
     | Some b -> b
     | None -> invalid_arg "Tune.search: empty space"
   in
@@ -255,36 +264,29 @@ let search ?jobs ?obs ?cache ?(cache_prefix = "") ?(mode = Auto)
           dims;
         continue := compare_config (best ()).pt_config before <> 0
       done);
-  let default_pt =
-    {
-      pt_config = default_config;
-      pt_makespan = Hashtbl.find evaluated default_config;
-    }
-  in
-  let points =
-    List.sort
-      (fun a b -> compare_config a.pt_config b.pt_config)
-      (List.rev_map
-         (fun c -> { pt_config = c; pt_makespan = Hashtbl.find evaluated c })
-         !order)
-  in
   {
-    r_default = default_pt;
+    r_default =
+      {
+        pt_config = default_config;
+        pt_makespan = Ctbl.find evaluated default_config;
+      };
     r_best = best ();
     r_explored = !explored;
     r_pruned = !pruned;
-    r_points = points;
+    r_points =
+      List.sort (fun a b -> compare_config a.pt_config b.pt_config) !log;
   }
 
 (** {1 Workload glue}
 
-    Preparing a workload lowers it once at {!Comp.default_nblocks}.
+    Preparing a workload lowers it once, at {!Comp.default_nblocks}.
     Data streaming is the only pass that reads the block count, so
     when no streaming site applied, every candidate count shares that
-    one program.  Otherwise each remaining candidate is lowered and
-    the lowered programs are deduplicated on the AST.  Each distinct
-    program is interpreted once for its event trace, and the search
-    gets an [eval]/[keyfn] pair over those traces. *)
+    one program.  Otherwise every other candidate's program is that
+    lowering re-blocked ({!Transforms.Streaming.reblock}), which
+    differs from it in the block count alone.  Each distinct program
+    is interpreted once for its event trace, and the search gets an
+    [eval]/[keyfn] pair over those traces. *)
 
 (* the machine parameters a trace's replay cost depends on — part of
    every cross-search cache key *)
@@ -322,7 +324,7 @@ let seed_nblocks ?obs ?block_cache (cfg : Config.t) sp events =
     | None -> Transforms.Block_size.Cache.create ?obs ()
   in
   let params = Runtime.Replay.default_params in
-  let mkey = machine_key cfg in
+  let prefix = machine_key cfg ^ "|" in
   let blocks = Runtime.Migrate.blocks_of_events events in
   let best =
     List.fold_left
@@ -343,8 +345,14 @@ let seed_nblocks ?obs ?block_cache (cfg : Config.t) sp events =
           }
         in
         let key =
-          Printf.sprintf "%s|h2d=%d,res=%d,d2h=%d,work=%d" mkey
-            b.blk_h2d_cells b.blk_resident_cells b.blk_d2h_cells b.blk_work
+          String.concat ","
+            [
+              prefix;
+              string_of_int b.blk_h2d_cells;
+              string_of_int b.blk_resident_cells;
+              string_of_int b.blk_d2h_cells;
+              string_of_int b.blk_work;
+            ]
         in
         let n =
           Transforms.Block_size.Cache.choose bcache ~key
@@ -376,28 +384,21 @@ let prepare_program ?(base = Config.paper_default) ?nblocks ?obs ?block_cache
         (fun events -> ([ events ], List.map (fun nb -> (nb, 0)) sp.sp_nblocks))
         (trace default_prog)
     else
-      (* lower each candidate, and trace each distinct program once, in
-         candidate order; the first runtime error ends the preparation *)
-      let rec go seen traces acc = function
-        | [] -> Ok (List.rev traces, List.rev acc)
+      (* each candidate is the lowering re-blocked, so no two coincide:
+         trace each once, in candidate order; the first runtime error
+         ends the preparation *)
+      let rec go traces i = function
+        | [] -> Ok (List.rev traces, List.mapi (fun i nb -> (nb, i)) sp.sp_nblocks)
         | nb :: rest -> (
             let p =
               if nb = Comp.default_nblocks then default_prog
-              else fst (Comp.optimize ~nblocks:nb prog)
+              else Transforms.Streaming.reblock ~nblocks:nb default_prog
             in
-            match
-              List.find_opt (fun (q, _) -> Minic.Ast.equal_program p q) seen
-            with
-            | Some (_, idx) -> go seen traces ((nb, idx) :: acc) rest
-            | None -> (
-                match trace p with
-                | Error e -> Error e
-                | Ok events ->
-                    let idx = List.length traces in
-                    go ((p, idx) :: seen) (events :: traces)
-                      ((nb, idx) :: acc) rest))
+            match trace p with
+            | Error e -> Error e
+            | Ok events -> go (events :: traces) (i + 1) rest)
       in
-      go [] [] [] sp.sp_nblocks
+      go [] 0 sp.sp_nblocks
   in
   Result.map
     (fun (traces, trace_of_nblocks) ->
@@ -434,10 +435,18 @@ let eval_config pre c =
     pre.p_traces.(List.assoc c.nblocks pre.p_trace_of_nblocks)
 
 (* two configs with the same device/stream grid and the same lowered
-   trace are the same simulation *)
+   trace are the same simulation.  The key packs (devices, streams,
+   trace) into fixed bit fields, so it means the same in every search
+   of one workload on one machine, as a shared {!Cache} needs: a trace
+   index is below {!Transforms.Block_size.max_blocks} = 2^12 (one per
+   distinct clamped count), and a grid past 2^24 streams or 2^26
+   devices could not even be listed. *)
 let key_config pre c =
-  Printf.sprintf "d%d.s%d.t%d" c.devices c.streams
-    (List.assoc c.nblocks pre.p_trace_of_nblocks)
+  if c.devices lsr 26 <> 0 || c.streams lsr 24 <> 0 then
+    invalid_arg "Tune.key_config: grid too large";
+  (c.devices lsl 36)
+  lor (c.streams lsl 12)
+  lor List.assoc c.nblocks pre.p_trace_of_nblocks
 
 let run ?jobs ?obs ?cache ?mode (pre : prepared) : report =
   let max_of l = List.fold_left max 1 l in
@@ -457,8 +466,7 @@ let run ?jobs ?obs ?cache ?mode (pre : prepared) : report =
     ]
   in
   search ?jobs ?obs ?cache
-    ~cache_prefix:
-      (Printf.sprintf "%s|%s|" pre.p_name (machine_key pre.p_base))
+    ~cache_prefix:(pre.p_name ^ "|" ^ machine_key pre.p_base)
     ?mode ~seeds sp
     ~eval:(eval_config pre)
     ~keyfn:(key_config pre)

@@ -9,7 +9,8 @@
     {!Parallel} and merge in submission order, and ties break by
     lexicographic config order — the winner is bit-identical at any
     [--jobs] width.  A memo table plus the optional cross-search
-    {!Cache} guarantee no visited point is ever re-simulated.
+    {!Cache} guarantee no visited point is ever re-simulated; both are
+    keyed by integers, computed once per config.
 
     Counters: [tune.explored] / [tune.pruned] for search traffic,
     [tune.cache.hits] / [tune.cache.misses] for the shared cache. *)
@@ -49,15 +50,18 @@ type mode =
   | Exhaustive
   | Hill
 
-(** Cross-search memo of simulator evaluations, keyed (workload,
+(** Cross-search memo of simulator evaluations, keyed (workload and
     machine, trace).  Distinct from the serve [Source_cache], which
     memoizes front-end {e compilation} keyed by source text. *)
 module Cache : sig
   type t
 
+  type key = string * int
+  (** A search's [cache_prefix] and a [keyfn] key. *)
+
   val create : ?obs:Obs.t -> unit -> t
-  val find : t -> string -> float option
-  val add : t -> string -> float -> unit
+  val find : t -> key -> float option
+  val add : t -> key -> float -> unit
   val size : t -> int
 end
 
@@ -84,12 +88,13 @@ val search :
   ?seeds:config list ->
   space ->
   eval:(config -> float) ->
-  keyfn:(config -> string) ->
+  keyfn:(config -> int) ->
   report
 (** The generic engine.  [eval] must be pure (it runs on pool
     domains); [keyfn] names the simulation a config denotes — configs
-    sharing a key share one evaluation.  {!default_config} is always
-    evaluated. *)
+    sharing a key share one evaluation.  It runs once per config per
+    batch, and {!Cache} entries are keyed [(cache_prefix, keyfn c)].
+    {!default_config} is always evaluated. *)
 
 (** {1 Workload glue} *)
 
@@ -119,15 +124,17 @@ val prepare_program :
   name:string ->
   Minic.Ast.program ->
   (prepared, string) result
-(** Lower the program once at {!Comp.default_nblocks}.  If no data
+(** Lower the program once, at {!Comp.default_nblocks}.  If no data
     streaming site applied, every candidate block count maps to that
     one program, because streaming is the only pass that reads the
-    count.  Otherwise lower each remaining candidate and deduplicate
-    the lowered programs on the AST.  Interpret each distinct program
-    once for its trace, and derive the analytic block-count seed (via
-    the memoized {!Transforms.Block_size.Cache}).  [Error msg] is the
-    interpreter's runtime error for the first candidate, in block-count
-    order, whose program fails. *)
+    count.  Otherwise each other candidate's program is that lowering
+    re-blocked with {!Transforms.Streaming.reblock}, which equals
+    lowering it at that count; the candidates are distinct, so trace
+    [i] is candidate [i].  Interpret each distinct program once for its
+    trace, and derive the analytic block-count seed (via the memoized
+    {!Transforms.Block_size.Cache}).  [Error msg] is the interpreter's
+    runtime error for the first candidate, in block-count order, whose
+    program fails. *)
 
 val prepare :
   ?base:Machine.Config.t ->
@@ -145,7 +152,11 @@ val eval_config : prepared -> config -> float
 (** Makespan of one candidate: {!Runtime.Migrate.makespan} of the
     config's trace on the config's machine. *)
 
-val key_config : prepared -> config -> string
+val key_config : prepared -> config -> int
+(** The simulation a config denotes: its device and stream counts and
+    its trace index, packed into one integer that means the same in
+    every search of one workload on one machine.  Raises
+    [Invalid_argument] past 2^26 devices or 2^24 streams. *)
 
 val run :
   ?jobs:int -> ?obs:Obs.t -> ?cache:Cache.t -> ?mode:mode -> prepared -> report

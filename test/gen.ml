@@ -87,6 +87,41 @@ int main(void) {
     ((seed mod 7) + 1)
     (seed mod 13)
 
+(** Two streamable offloaded loops at the top level of [main], which
+    no pass merges: streaming rewrites both, each in its own block. *)
+let two_region_program ~n ~seed =
+  Printf.sprintf
+    {|
+int main(void) {
+  int n = %d;
+  float a[%d];
+  float b[%d];
+  float c[%d];
+  float d[%d];
+  for (i = 0; i < n; i++) {
+    a[i] = (float)((i * %d + 1) %% 13);
+    c[i] = (float)(i + %d);
+  }
+  #pragma offload target(mic:0) in(a[0:n]) out(b[0:n])
+  #pragma omp parallel for
+  for (i = 0; i < n; i++) {
+    b[i] = a[i] * 2.0 + 1.0;
+  }
+  #pragma offload target(mic:0) in(c[0:n]) out(d[0:n])
+  #pragma omp parallel for
+  for (i = 0; i < n; i++) {
+    d[i] = c[i] * c[i];
+  }
+  for (i = 0; i < n; i++) {
+    print_float(b[i] + d[i]);
+  }
+  return 0;
+}
+|}
+    n n n n n
+    ((seed mod 5) + 2)
+    (seed mod 9)
+
 (** A gather program instance (regularization target). *)
 let gather_program ~n ~m ~seed =
   Printf.sprintf

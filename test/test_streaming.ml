@@ -18,8 +18,59 @@ let expect_failure name src pred =
             (Format.asprintf "failure is %a" St.pp_failure e)
             true (pred e))
 
+let corpus name =
+  parse (In_channel.with_open_bin (Filename.concat "corpus" name) In_channel.input_all)
+
 let suite =
   [
+    tc "a region whose program uses a name the rewrite declares is refused"
+      (fun () ->
+        (* the three captures: a block-loop scalar read as written, the
+           same scalar grown before the loop, and a double-buffered
+           device-buffer name (the pipeline's layout); each must keep
+           its output through the pipeline in both layouts *)
+        List.iter
+          (fun (file, name) ->
+            let prog = corpus file in
+            (match St.analyze prog (first_offloaded prog) with
+            | Error (St.Name_clash v) ->
+                Alcotest.(check string) (file ^ ": clashing name") name v
+            | Error e -> Alcotest.failf "%s: refused for %a" file St.pp_failure e
+            | Ok _ -> Alcotest.failf "%s: streaming accepted the region" file);
+            List.iter
+              (fun memory ->
+                let prog', applied = Comp.optimize ~memory prog in
+                Alcotest.(check int) (file ^ ": streamed") 0 applied.Comp.streamed;
+                check_semantics_preserved ~name:file prog prog';
+                check_semantics_preserved ~name:(file ^ " -O") prog
+                  (fst (Comp.optimize ~opt:Opt.all_passes ~memory prog)))
+              [ St.Full; St.Double_buffered ])
+          [
+            ("st_clash_bsize.mc", "bsize__");
+            ("st_clash_bsize_grown.mc", "bsize__");
+            ("st_clash_mic1.mc", "a_mic1");
+          ]);
+    tc "a name clash is reported only after every other check" (fun () ->
+        (* an already-streamed program declares every reserved name, yet
+           its offloads keep the reason they had before the check *)
+        let prog = corpus "regressions/reg_db421a658c07.mc" in
+        List.iter
+          (fun region ->
+            match St.analyze prog region with
+            | Error St.No_streamed_input -> ()
+            | Error e -> Alcotest.failf "refused for %a" St.pp_failure e
+            | Ok _ -> Alcotest.fail "streaming accepted the region")
+          (Analysis.Offload_regions.offloaded prog));
+    tc "both regions of a two-region program stream" (fun () ->
+        (* the names are collected from the input, so the first
+           rewrite's declarations do not refuse the second region *)
+        let prog = parse (Gen.two_region_program ~n:12 ~seed:3) in
+        List.iter
+          (fun memory ->
+            let prog', n = St.transform_all ~nblocks:3 ~memory prog in
+            Alcotest.(check int) "regions streamed" 2 n;
+            check_semantics_preserved ~name:"two regions" prog prog')
+          [ St.Full; St.Double_buffered ]);
     tc "blackscholes-style loop streams and preserves semantics" (fun () ->
         let src = Gen.streamable_program ~n:23 ~seed:1 in
         let prog = parse src in

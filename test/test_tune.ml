@@ -133,7 +133,8 @@ let test_tiebreak_lexicographic () =
   let r =
     Tune.search ~jobs:2 sp
       ~eval:(fun _ -> 1.0)
-      ~keyfn:(fun c -> Tune.config_to_string c)
+      ~keyfn:(fun c ->
+        (((c.Tune.devices * 100) + c.Tune.streams) * 100) + c.Tune.nblocks)
   in
   Alcotest.(check string)
     "lex-smallest wins the tie" "devices=1,streams=1,nblocks=2"
@@ -149,7 +150,7 @@ let test_shared_key_dedup () =
       ~eval:(fun _ ->
         incr evals;
         2.0)
-      ~keyfn:(fun _ -> "same")
+      ~keyfn:(fun _ -> 0)
   in
   Alcotest.(check int) "one simulator call" 1 !evals;
   Alcotest.(check int) "explored counts evaluations" 1 r.Tune.r_explored;
@@ -485,6 +486,21 @@ let reference_prepare ~base prog =
           map,
           match seed with None -> Comp.default_nblocks | Some (_, n) -> n )
 
+(* a streamable loop in a program that declares its own [nblk__] *)
+let own_nblk_src =
+  {|int main(void) {
+  int n = 8;
+  int nblk__ = 3;
+  float a[8];
+  float b[8];
+  for (i = 0; i < n; i++) { a[i] = (float)(i + nblk__); }
+  #pragma offload target(mic:0) in(a[0:n]) out(b[0:n])
+  #pragma omp parallel for
+  for (i = 0; i < n; i++) { b[i] = a[i] * 2.0; }
+  for (i = 0; i < n; i++) { print_float(b[i]); }
+  return 0;
+}|}
+
 let test_prepare_parity () =
   let base = Config.paper_default in
   let streamable = ref 0 and single = ref 0 and failed = ref 0 in
@@ -518,6 +534,16 @@ let test_prepare_parity () =
           (parse (Check.Genprog.generate pat ~seed))
       done)
     Check.Genprog.all_patterns;
+  (* two streamed regions: every candidate re-blocks both *)
+  check "two regions" (parse (Gen.two_region_program ~n:12 ~seed:3));
+  (* a program with its own [nblk__] is never streamed, so it takes the
+     single-trace path, as the reference finds every count lowers to one
+     program *)
+  let own = parse own_nblk_src in
+  Alcotest.(check int)
+    "own nblk__: streamed" 0
+    (snd (Comp.optimize own)).Comp.streamed;
+  check "own nblk__" own;
   (* a program that fails at run time is an [Error], never an exception *)
   check "undefined read"
     (parse
@@ -528,6 +554,334 @@ let test_prepare_parity () =
   Alcotest.(check bool) "some programs stream" true (!streamable > 0);
   Alcotest.(check bool) "some programs do not" true (!single > 0);
   Alcotest.(check int) "failing programs" 1 !failed
+
+(* ------------------------------------------------------------------ *)
+(* Parity: Streaming.reblock against lowering at the count            *)
+(* ------------------------------------------------------------------ *)
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let corpus_programs () =
+  List.concat_map
+    (fun dir ->
+      Sys.readdir dir |> Array.to_list |> List.sort compare
+      |> List.filter_map (fun f ->
+             if Filename.check_suffix f ".mc" then
+               let path = Filename.concat dir f in
+               Some (path, parse (read path))
+             else None))
+    [ "corpus"; "corpus/regressions" ]
+
+(* [reblock ~nblocks:n] of the lowering at every count [m] is the
+   lowering at [n]; returns the streamed region count (0 when the
+   program does not stream) *)
+let check_reblock name prog =
+  let nblocks =
+    (Tune.space ~max_devices:1 ~max_streams:1 ()).Tune.sp_nblocks
+  in
+  List.fold_left
+    (fun regions (layout, memory) ->
+      let lowered =
+        List.map (fun nb -> (nb, Comp.optimize ~memory ~nblocks:nb prog)) nblocks
+      in
+      match
+        List.sort_uniq compare
+          (List.map (fun (_, (_, a)) -> a.Comp.streamed) lowered)
+      with
+      | [ 0 ] -> regions
+      | [ k ] ->
+          List.iter
+            (fun (m, (from, _)) ->
+              List.iter
+                (fun (n, (want, _)) ->
+                  if
+                    not
+                      (Minic.Ast.equal_program
+                         (Transforms.Streaming.reblock ~nblocks:n from)
+                         want)
+                  then
+                    Alcotest.failf
+                      "%s (%s): reblock %d -> %d differs from lowering at %d"
+                      name layout m n n)
+                lowered)
+            lowered;
+          regions + k
+      | _ -> Alcotest.failf "%s (%s): streamed count depends on nblocks" name layout)
+    0
+    [
+      ("full", Transforms.Streaming.Full);
+      ("double-buffered", Transforms.Streaming.Double_buffered);
+    ]
+
+let test_reblock_identity () =
+  let streamed = ref 0 in
+  let check name prog =
+    if check_reblock name prog > 0 then incr streamed
+  in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      check w.Workloads.Workload.name (Workloads.Workload.program w))
+    Workloads.Registry.all;
+  List.iter (fun (path, prog) -> check path prog) (corpus_programs ());
+  List.iter
+    (fun pat ->
+      for seed = 1 to 8 do
+        check
+          (Printf.sprintf "%s seed %d" (Check.Genprog.pattern_name pat) seed)
+          (parse (Check.Genprog.generate pat ~seed))
+      done)
+    Check.Genprog.all_patterns;
+  (* both declarations of a two-region program are re-blocked, in
+     each layout *)
+  Alcotest.(check int)
+    "two regions, two layouts" 4
+    (check_reblock "two regions" (parse (Gen.two_region_program ~n:12 ~seed:3)));
+  Alcotest.(check bool) "many programs stream" true (!streamed >= 20)
+
+(* ------------------------------------------------------------------ *)
+(* Parity: Tune.search against its string-keyed predecessor           *)
+(* ------------------------------------------------------------------ *)
+
+(* The search [Tune.search] replaced, kept as its reference: string
+   keys computed twice per config, a polymorphic config table, and
+   [best] and the points re-read from that table.  Its cross-search
+   cache is a string table counting into the same [tune.cache.*]
+   names. *)
+module Ref_cache = struct
+  type t = { tbl : (string, float) Hashtbl.t; obs : Obs.t }
+
+  let create obs = { tbl = Hashtbl.create 16; obs }
+
+  let find c k =
+    match Hashtbl.find_opt c.tbl k with
+    | Some v ->
+        Obs.incr c.obs "tune.cache.hits";
+        Some v
+    | None ->
+        Obs.incr c.obs "tune.cache.misses";
+        None
+
+  let add c k v = Hashtbl.replace c.tbl k v
+end
+
+let reference_search ~obs ?cache ?(cache_prefix = "") ~mode ~seeds
+    (sp : Tune.space) ~(eval : Tune.config -> float)
+    ~(keyfn : Tune.config -> string) : Tune.report =
+  let open Tune in
+  let cmp a b =
+    compare (a.devices, a.streams, a.nblocks) (b.devices, b.streams, b.nblocks)
+  in
+  let bump ~by name = if by > 0 then Obs.incr ~by obs name in
+  let explored = ref 0 and pruned = ref 0 in
+  let memo : (string, float) Hashtbl.t = Hashtbl.create 64 in
+  let lookup k =
+    match Hashtbl.find_opt memo k with
+    | Some v -> Some v
+    | None -> (
+        match cache with
+        | None -> None
+        | Some c -> (
+            match Ref_cache.find c (cache_prefix ^ k) with
+            | Some v ->
+                Hashtbl.add memo k v;
+                Some v
+            | None -> None))
+  in
+  let store k v =
+    Hashtbl.replace memo k v;
+    match cache with
+    | None -> ()
+    | Some c -> Ref_cache.add c (cache_prefix ^ k) v
+  in
+  let evaluated : (config, float) Hashtbl.t = Hashtbl.create 64 in
+  let order = ref [] in
+  let record c m =
+    if not (Hashtbl.mem evaluated c) then begin
+      Hashtbl.add evaluated c m;
+      order := c :: !order
+    end
+  in
+  let evaluate configs =
+    let requested = ref 0 in
+    let missing = ref [] in
+    let batch_keys : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+    List.iter
+      (fun c ->
+        if not (Hashtbl.mem evaluated c) then begin
+          incr requested;
+          let k = keyfn c in
+          if (not (Hashtbl.mem batch_keys k)) && Option.is_none (lookup k)
+          then begin
+            Hashtbl.add batch_keys k ();
+            missing := (c, k) :: !missing
+          end
+        end)
+      configs;
+    let missing = List.rev !missing in
+    List.iter (fun (c, k) -> store k (eval c)) missing;
+    let n = List.length missing in
+    explored := !explored + n;
+    pruned := !pruned + (!requested - n);
+    bump ~by:n "tune.explored";
+    bump ~by:(!requested - n) "tune.pruned";
+    List.iter
+      (fun c ->
+        if not (Hashtbl.mem evaluated c) then
+          record c (Hashtbl.find memo (keyfn c)))
+      configs
+  in
+  let best () =
+    List.fold_left
+      (fun acc c ->
+        let m = Hashtbl.find evaluated c in
+        match acc with
+        | None -> Some { pt_config = c; pt_makespan = m }
+        | Some b ->
+            if m < b.pt_makespan || (m = b.pt_makespan && cmp c b.pt_config < 0)
+            then Some { pt_config = c; pt_makespan = m }
+            else Some b)
+      None (List.rev !order)
+    |> Option.get
+  in
+  (match mode with
+  | Auto -> assert false
+  | Exhaustive ->
+      evaluate
+        (default_config
+        :: List.concat_map
+             (fun d ->
+               List.concat_map
+                 (fun s ->
+                   List.map
+                     (fun n -> { devices = d; streams = s; nblocks = n })
+                     sp.sp_nblocks)
+                 sp.sp_streams)
+             sp.sp_devices)
+  | Hill ->
+      evaluate (default_config :: seeds);
+      let dims =
+        [
+          ((fun b d -> { b with devices = d }), sp.sp_devices);
+          ((fun b s -> { b with streams = s }), sp.sp_streams);
+          ((fun b n -> { b with nblocks = n }), sp.sp_nblocks);
+        ]
+      in
+      let rounds = ref 0 and continue = ref true in
+      while !continue && !rounds < 32 do
+        incr rounds;
+        let before = (best ()).pt_config in
+        List.iter
+          (fun (set, vals) -> evaluate (List.map (set (best ()).pt_config) vals))
+          dims;
+        continue := cmp (best ()).pt_config before <> 0
+      done);
+  {
+    r_default =
+      {
+        pt_config = default_config;
+        pt_makespan = Hashtbl.find evaluated default_config;
+      };
+    r_best = best ();
+    r_explored = !explored;
+    r_pruned = !pruned;
+    r_points =
+      List.sort
+        (fun a b -> cmp a.pt_config b.pt_config)
+        (List.rev_map
+           (fun c -> { pt_config = c; pt_makespan = Hashtbl.find evaluated c })
+           !order);
+  }
+
+(* one generated search: a grid, a tie-heavy makespan table, a keyfn
+   aliasing configs through moduli, hill seeds, a mode, a pool width,
+   and whether the search runs twice through one shared cache *)
+type search_case = {
+  max_devices : int;
+  max_streams : int;
+  counts : int list;
+  values : float array;
+  moduli : int * int * int;
+  seeds : (int * int * int) list;
+  hill : bool;
+  shared : bool;
+  jobs : int;
+}
+
+let search_case_gen =
+  let open QCheck.Gen in
+  let* max_devices = int_range 1 5 in
+  let* max_streams = int_range 1 3 in
+  let* counts = list_size (int_range 1 12) (int_range 1 64) in
+  let* values = array_size (int_range 1 3) (oneofl [ 0.5; 1.0; 2.0; 3.0 ]) in
+  let* moduli = triple (int_range 1 6) (int_range 1 4) (int_range 1 16) in
+  let* seeds =
+    list_size (int_range 0 3)
+      (triple (int_range 1 max_devices) (int_range 1 max_streams)
+         (oneofl (Comp.default_nblocks :: counts)))
+  in
+  let* hill = bool in
+  let* shared = bool in
+  let+ jobs = int_range 1 2 in
+  { max_devices; max_streams; counts; values; moduli; seeds; hill; shared; jobs }
+
+let print_search_case c =
+  let md, ms, mn = c.moduli in
+  Printf.sprintf
+    "devices<=%d streams<=%d counts=[%s] values=[%s] moduli=(%d,%d,%d) \
+     seeds=[%s] hill=%b shared=%b jobs=%d"
+    c.max_devices c.max_streams
+    (String.concat ";" (List.map string_of_int c.counts))
+    (String.concat ";" (Array.to_list (Array.map string_of_float c.values)))
+    md ms mn
+    (String.concat ";"
+       (List.map (fun (d, s, n) -> Printf.sprintf "%d,%d,%d" d s n) c.seeds))
+    c.hill c.shared c.jobs
+
+let search_parity c =
+  let sp =
+    Tune.space ~nblocks:c.counts ~max_devices:c.max_devices
+      ~max_streams:c.max_streams ()
+  in
+  let md, ms, mn = c.moduli in
+  let key (x : Tune.config) =
+    ((((x.Tune.devices mod md) * 10) + (x.Tune.streams mod ms)) * 100)
+    + (x.Tune.nblocks mod mn)
+  in
+  let eval (x : Tune.config) =
+    c.values.(((x.Tune.devices * 7) + (x.Tune.streams * 3) + x.Tune.nblocks)
+              mod Array.length c.values)
+  in
+  let seeds =
+    List.map
+      (fun (d, s, n) -> { Tune.devices = d; streams = s; nblocks = n })
+      c.seeds
+  in
+  let mode = if c.hill then Tune.Hill else Tune.Exhaustive in
+  let obs = Obs.create () and ref_obs = Obs.create () in
+  let cache = if c.shared then Some (Tune.Cache.create ~obs ()) else None in
+  let ref_cache = if c.shared then Some (Ref_cache.create ref_obs) else None in
+  for _ = 1 to if c.shared then 2 else 1 do
+    let got =
+      Tune.search ~jobs:c.jobs ~obs ?cache ~cache_prefix:"w|m" ~mode ~seeds sp
+        ~eval ~keyfn:key
+    in
+    let want =
+      reference_search ~obs:ref_obs ?cache:ref_cache ~cache_prefix:"w|m|"
+        ~mode ~seeds sp ~eval ~keyfn:(fun x -> string_of_int (key x))
+    in
+    check_report "search parity" want got;
+    Alcotest.(check (float 0.))
+      "default makespan" want.Tune.r_default.Tune.pt_makespan
+      got.Tune.r_default.Tune.pt_makespan
+  done;
+  let tune_counters o =
+    List.filter
+      (fun (n, _) -> String.starts_with ~prefix:"tune." n)
+      (Obs.counters o)
+  in
+  Alcotest.(check (list (pair string int)))
+    "tune.* counters" (tune_counters ref_obs) (tune_counters obs);
+  true
 
 let suite =
   [
@@ -554,4 +908,9 @@ let suite =
     tc "makespan equals schedule's, bit for bit, with equal counters"
       test_makespan_parity;
     tc "prepare equals the optimize-and-print reference" test_prepare_parity;
+    tc "reblock equals lowering at the count, in both layouts"
+      test_reblock_identity;
+    prop "search equals its string-keyed reference" ~count:200
+      (QCheck.make ~print:print_search_case search_case_gen)
+      search_parity;
   ]
