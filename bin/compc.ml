@@ -1176,7 +1176,9 @@ let serve_cmd =
           ~doc:
             "Client mode: send stdin's request lines to the server at \
              $(docv) and print its response lines (retries while the \
-             server starts up)")
+             server starts up). Requests are sent whenever stdin pauses \
+             and responses printed whenever the server pauses, so an \
+             interactive session is answered line by line")
   in
   let queue =
     Arg.(
@@ -1191,8 +1193,11 @@ let serve_cmd =
       value & opt int Serve.default_config.Serve.batch
       & info [ "batch" ] ~docv:"N"
           ~doc:
-            "Dispatch queued requests to the pool in batches of $(docv) \
-             (a fixed sequence point, independent of --jobs)")
+            "Dispatch queued requests to the pool in batches of at most \
+             $(docv): at $(docv) requests, at a stats or shutdown \
+             request, at end of input, and whenever input pauses. A \
+             regular file never pauses, so its batches are fixed; \
+             $(b,--jobs) never decides a cut")
   in
   let max_fuel =
     Arg.(
@@ -1245,7 +1250,9 @@ let serve_cmd =
     Term.(
       const run $ socket $ connect
       $ jobs_arg ~pool_for:"request execution"
-          ~invariant:"The response stream is byte-identical"
+          ~invariant:
+            "For a given sequence of batch cuts (see $(b,--batch)), the \
+             response stream is byte-identical"
       $ queue $ batch $ max_fuel $ max_time)
 
 (* --- --profile (top-level) --- *)

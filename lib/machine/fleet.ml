@@ -135,18 +135,39 @@ let parse s =
           (Printf.sprintf "dev%d" d)
           (Printf.sprintf "device index out of range (devices=%d)"
              fleet.f_devices)
-    | None -> Ok fleet
+    | None ->
+        (* a device refined back to 1.0 on both axes is unrefined:
+           [to_string] prints no clause for it, so it gets no entry *)
+        Ok
+          {
+            fleet with
+            f_scales =
+              List.filter
+                (fun (_, s) -> s <> Config.unit_scale)
+                fleet.f_scales;
+          }
+
+(* The shortest of [%.15g], [%.16g] and [%.17g] that reads back as
+   exactly [x]: 0.5 prints "0.5", as [%g] does, but 0.1234567 stays
+   "0.1234567" where [%g] rounds it to "0.123457". *)
+let factor_to_string x =
+  let exact prec =
+    let s = Printf.sprintf "%.*g" prec x in
+    if float_of_string s = x then Some s else None
+  in
+  match (exact 15, exact 16) with
+  | Some s, _ | None, Some s -> s
+  | None, None -> Printf.sprintf "%.17g" x
 
 let scale_clauses f =
+  let clause d axis x =
+    if x <> 1.0 then
+      [ Printf.sprintf "dev%d:%s=%s" d axis (factor_to_string x) ]
+    else []
+  in
   List.concat_map
     (fun (d, (s : Config.scale)) ->
-      (if s.Config.sc_cores <> 1.0 then
-         [ Printf.sprintf "dev%d:cores=%g" d s.Config.sc_cores ]
-       else [])
-      @
-      if s.Config.sc_bw <> 1.0 then
-        [ Printf.sprintf "dev%d:bw=%g" d s.Config.sc_bw ]
-      else [])
+      clause d "cores" s.Config.sc_cores @ clause d "bw" s.Config.sc_bw)
     f.f_scales
 
 let to_string f =

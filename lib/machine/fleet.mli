@@ -26,15 +26,19 @@ type parse_error = { token : string; reason : string }
 val error_message : parse_error -> string
 
 val parse : string -> (t, parse_error) result
-(** Parse a spec; [""] is {!default}. *)
+(** Parse a spec; [""] is {!default}.  A device whose factors both
+    end at 1.0 gets no [f_scales] entry. *)
 
 val scale_clauses : t -> string list
 (** The [devN:cores=F] / [devN:bw=F] clauses of the fleet's scales, in
     device order; a factor of 1.0 has none. *)
 
 val to_string : t -> string
-(** Canonical spec text; [parse (to_string f) = Ok f] for any valid
-    [f] (scale clauses at 1.0 are omitted). *)
+(** Canonical spec text; [parse (to_string f) = Ok f] for any [f] that
+    {!parse} returns: scale clauses at 1.0 are omitted, and each
+    factor prints as the shortest of [%.15g], [%.16g] and [%.17g]
+    that reads back exactly, so 0.5 prints as [%g] prints it and no
+    factor is rounded. *)
 
 val apply : Config.t -> t -> Config.t
 (** Install the fleet into a machine config: {!Config.with_devices}

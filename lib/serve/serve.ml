@@ -261,21 +261,23 @@ let exec (wk : work) =
 (* {1 Batch flush}
 
    Cuts the queue into one pool submission.  The batch boundary is a
-   sequence point: it depends only on the request stream and [batch],
-   never on pool width, so absorbs (and hence [stats]) are
-   width-independent. *)
+   sequence point: it depends on the request stream, [batch] and when
+   the input pauses, never on pool width, so for given cuts absorbs
+   (and hence [stats]) are width-independent. *)
 
 (* Estimated statement cost of one queued request.  A batch whose
    estimated work is below [inline_threshold_stmts] runs inline on the
    serving domain (identical to the pool at [jobs = 1], so responses
    stay byte-identical at every width).  The bypass is kept for
    tail latency, not to avoid domain spawns (the pool reuses parked
-   helpers).  Over 8 alternating pairs of the benchmark's [serve]
-   workload on a 2-vCPU host, removing it raised median throughput 9%
-   (2750 vs 2523 req/s) but left p99 unresolved: median 30.3 vs
-   29.5 ms, with one run at 59 ms against at most 34 ms with the
-   bypass.  The estimate reads only the daemon sink, whose state at a
-   batch boundary is width-independent. *)
+   helpers).  Over 6 alternating pairs of the benchmark's [serve]
+   workload on a 2-vCPU host, with batches cut whenever input pauses
+   (mean size about 3.5), removing it raised median throughput 6%
+   (3847 vs 3641 req/s; 10% in the 3 pairs without CPU steal) and
+   left latency unresolved: p50 0.377 vs 0.344 ms, p99 12.9 vs
+   10.5 ms, with runs at 25 and 31 ms against at most 13.5 ms with
+   the bypass.  The estimate reads only the daemon sink, whose state
+   at a batch boundary is width-independent. *)
 let estimate_stmts t (wk : work) =
   let run_estimate () =
     match Obs.histogram t.sink "serve.work" with
@@ -574,18 +576,103 @@ let finish t =
 
 (* {1 Transports} *)
 
+module Line_reader = struct
+  type t = {
+    ic : in_channel;
+    fd : Unix.file_descr;
+    chunk : Bytes.t;
+    lines : string Queue.t;  (** complete lines not yet read *)
+    partial : Buffer.t;  (** the unterminated tail of the input so far *)
+    mutable eof : bool;
+  }
+
+  (* at least the channel's own buffer (64 KiB), so one [input] takes
+     everything the channel holds and [select] on the descriptor then
+     tells the whole truth *)
+  let chunk_size = 65536
+
+  let create ic =
+    {
+      ic;
+      fd = Unix.descr_of_in_channel ic;
+      chunk = Bytes.create chunk_size;
+      lines = Queue.create ();
+      partial = Buffer.create 256;
+      eof = false;
+    }
+
+  let take_partial r =
+    let l = Buffer.contents r.partial in
+    Buffer.clear r.partial;
+    l
+
+  (* one [input]: it blocks only when the channel holds nothing *)
+  let fill r =
+    match input r.ic r.chunk 0 chunk_size with
+    | 0 ->
+        r.eof <- true;
+        if Buffer.length r.partial > 0 then Queue.push (take_partial r) r.lines
+    | n ->
+        let start = ref 0 in
+        for i = 0 to n - 1 do
+          if Bytes.get r.chunk i = '\n' then begin
+            let len = i - !start in
+            Queue.push
+              (if Buffer.length r.partial = 0 then
+                 Bytes.sub_string r.chunk !start len
+               else begin
+                 Buffer.add_subbytes r.partial r.chunk !start len;
+                 take_partial r
+               end)
+              r.lines;
+            start := i + 1
+          end
+        done;
+        Buffer.add_subbytes r.partial r.chunk !start (n - !start)
+
+  let rec read r =
+    match Queue.take_opt r.lines with
+    | Some _ as line -> line
+    | None when r.eof -> None
+    | None ->
+        fill r;
+        read r
+
+  let paused r =
+    Queue.is_empty r.lines && (not r.eof)
+    &&
+    match Unix.select [ r.fd ] [] [] 0. with
+    | [], _, _ -> true
+    | _ -> false
+    (* EINTR, or EINVAL past FD_SETSIZE: dispatching early only makes a
+       batch smaller *)
+    | exception Unix.Unix_error _ -> true
+end
+
 let serve_channels t ic oc =
-  let emit line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
+  let r = Line_reader.create ic in
+  let emit = function
+    | [] -> ()
+    | lines ->
+        List.iter
+          (fun line ->
+            output_string oc line;
+            output_char oc '\n')
+          lines;
+        flush oc
   in
+  (* with nothing queued every response is already out, so only a
+     queued request needs the pause check *)
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> List.iter emit (finish t)
-    | line ->
-        List.iter emit (handle_line t line);
-        if t.stop then List.iter emit (finish t) else loop ()
+    if t.npending > 0 && Line_reader.paused r then begin
+      Obs.incr t.sink "serve.paused_batches";
+      emit (finish t)
+    end;
+    match Line_reader.read r with
+    | None -> emit (finish t)
+    | Some line ->
+        emit (handle_line t line);
+        if t.stop then emit (finish t) else loop ()
   in
   loop ()
 
@@ -639,31 +726,41 @@ let client ~path ic oc =
          unread, so sending everything before reading anything
          deadlocks a long session.  The sender reads all of [ic] even
          after the socket fails, to count the requests owed an answer
-         (the server answers each non-blank line once). *)
+         (the server answers each non-blank line once).  Each side
+         flushes whenever its input pauses, so a request is sent, and
+         its response printed, without waiting for more input. *)
       let sender =
         Domain.spawn (fun () ->
+            let r = Line_reader.create ic in
             let requests = ref 0 and alive = ref true in
-            (try
-               while true do
-                 let line = input_line ic in
-                 if String.trim line <> "" then incr requests;
-                 if !alive then
-                   try
-                     output_string soc line;
-                     output_char soc '\n'
-                   with Sys_error _ -> alive := false
-               done
-             with End_of_file -> ());
+            let rec send () =
+              if !alive && Line_reader.paused r then (
+                try flush soc with Sys_error _ -> alive := false);
+              match Line_reader.read r with
+              | None -> ()
+              | Some line ->
+                  if String.trim line <> "" then incr requests;
+                  (if !alive then
+                     try
+                       output_string soc line;
+                       output_char soc '\n'
+                     with Sys_error _ -> alive := false);
+                  send ()
+            in
+            send ();
             (try
                flush soc;
                Unix.shutdown s Unix.SHUTDOWN_SEND
              with Sys_error _ | Unix.Unix_error _ -> ());
             !requests)
       in
+      let r = Line_reader.create sic in
       let rec copy n =
-        match input_line sic with
-        | exception (End_of_file | Sys_error _) -> n
-        | line ->
+        if Line_reader.paused r then flush oc;
+        match Line_reader.read r with
+        | exception Sys_error _ -> n
+        | None -> n
+        | Some line ->
             output_string oc line;
             output_char oc '\n';
             copy (n + 1)

@@ -7,11 +7,20 @@
 
     The daemon is built for two properties:
 
-    - {b Determinism.}  The response {e stream} is byte-identical at
-      any [--jobs] width: admission (parse, typecheck, compile, queue
-      accounting) happens serially on the main thread, batches are
-      cut at fixed sizes independent of pool width, and responses are
-      emitted strictly in request order.  Wall-clock time never
+    - {b Determinism.}  A batch is cut at [batch] requests, at a
+      [stats]/[shutdown] barrier, at end of input, and when input
+      pauses; pool width never decides a cut.  For a given sequence of
+      cuts the response {e stream} is byte-identical at any [--jobs]
+      width: admission (parse, typecheck, compile, queue accounting)
+      happens serially on the main thread, and responses are emitted
+      strictly in request order.  Regular-file input never pauses, so
+      a session read from a file is cut the same way on every run.
+      Over a pipe or a socket the cuts follow the input's timing, and
+      two things follow the cuts: the batch-shape fields of [stats]
+      ([serve.batch], [serve.inline_batches], [serve.pooled_batches],
+      [serve.paused_batches]) and, only with [queue < batch], which
+      requests draw [queue_full].  Every other field of every response
+      is a function of the request stream alone; wall-clock time never
       appears in a response.
     - {b Amortization.}  A request-shared, source-keyed compile cache
       ({!Minic.Compile_eval.Source_cache}) makes repeated sources
@@ -30,10 +39,12 @@ type config = {
   jobs : int option;  (** pool width; [None] = {!Parallel.default_jobs} *)
   queue : int;  (** admission bound: max requests waiting (default 64) *)
   batch : int;
-      (** flush the queue to the pool at this many requests (default
-          8).  Deliberately {e not} defaulted to [jobs]: batch cuts
-          are sequence points, and tying them to pool width would
-          make the response stream width-dependent. *)
+      (** dispatch the queue to the pool at this many requests at most
+          (default 8): a cap, not a wait, since {!serve_channels} also
+          dispatches whenever its input pauses.  Deliberately {e not}
+          defaulted to [jobs]: batch cuts are sequence points, and
+          tying them to pool width would make the response stream
+          width-dependent. *)
   max_fuel : int;  (** per-request fuel ceiling (default 10,000,000) *)
   max_time : float option;
       (** per-request wall budget in seconds, converted to fuel at
@@ -62,8 +73,9 @@ val handle_line : t -> string -> string list
     are ignored. *)
 
 val finish : t -> string list
-(** End-of-input barrier: run everything still queued and return the
-    remaining responses. *)
+(** Run everything still queued and return the remaining responses:
+    the end-of-input barrier, and what {!serve_channels} calls when its
+    input pauses. *)
 
 val shutdown_requested : t -> bool
 (** True once a [shutdown] request has been served. *)
@@ -86,9 +98,36 @@ val latencies : t -> float list
 
 (** {1 Transports} *)
 
+(** Line input that knows when its source has paused.  Lines split
+    exactly as [input_line] splits them: on ['\n'] only (a ['\r']
+    stays in the line), with a final unterminated line delivered at
+    end of input. *)
+module Line_reader : sig
+  type t
+
+  val create : in_channel -> t
+  (** Read through the channel's own buffer; the channel must not be
+      read otherwise afterwards. *)
+
+  val read : t -> string option
+  (** The next line, blocking until one is complete; [None] at end of
+      input.  Raises [Sys_error] as [input] does. *)
+
+  val paused : t -> bool
+  (** True when no complete line is buffered and [Unix.select] with a
+      zero timeout finds the descriptor unreadable (a [select] error
+      counts as a pause).  Costs no system call while lines are
+      buffered.  A regular file is always readable, so file input
+      never pauses. *)
+end
+
 val serve_channels : t -> in_channel -> out_channel -> unit
-(** Request loop: read lines until EOF or [shutdown], emitting (and
-    flushing) each response line as it becomes ready. *)
+(** Request loop: read lines until EOF or [shutdown], writing each run
+    of responses as it becomes ready and flushing once per run.  When
+    a request is queued and the input pauses, it calls {!finish} before
+    it blocks for input, so a queued request waits for more requests
+    only while they are already arriving; each batch dispatched that
+    way counts in [serve.paused_batches]. *)
 
 val serve_stdin : t -> unit
 
@@ -100,12 +139,14 @@ val serve_socket : t -> path:string -> unit
     daemon.  The socket file is removed on exit. *)
 
 val client : path:string -> in_channel -> out_channel -> (unit, string) result
-(** Scripted-session client for the socket transport: connect
-    (retrying while the server starts up), send [in_channel]'s lines
-    from a helper domain while copying response lines to
-    [out_channel], then half-close.  [Error] when the connection
+(** Client for the socket transport: connect (retrying while the
+    server starts up), send [in_channel]'s lines from a helper domain
+    while copying response lines to [out_channel], then half-close.
+    The sender flushes the socket whenever [in_channel] pauses and the
+    copier flushes [out_channel] whenever the socket pauses, so each
+    request is answered as it is typed, while a script read from a
+    file still goes out in large writes.  [Error] when the connection
     fails, when [out_channel] cannot be written (it is then closed,
     so no later flush retries the write), or when the server closes
     the connection before answering every non-blank line.  Ignores
-    SIGPIPE, so a server that goes away surfaces as that [Error].
-    Suited to batch scripts, not interactive use. *)
+    SIGPIPE, so a server that goes away surfaces as that [Error]. *)

@@ -289,18 +289,19 @@ let search ?jobs ?obs ?cache ?(cache_prefix = "") ?(mode = Auto)
     [eval]/[keyfn] pair over those traces. *)
 
 (* the machine parameters a trace's replay cost depends on — part of
-   every cross-search cache key *)
+   every cross-search cache key.  [%h] prints a float's exact bits,
+   where [%g] would give 0.1234567 and 0.1234568 one key. *)
 let machine_key (cfg : Config.t) =
   let scales =
     List.map
       (fun (d, s) ->
-        Printf.sprintf "dev%d:%g:%g" d s.Config.sc_cores s.Config.sc_bw)
+        Printf.sprintf "dev%d:%h:%h" d s.Config.sc_cores s.Config.sc_bw)
       cfg.Config.scales
   in
   String.concat ","
-    (Printf.sprintf "pcie=%g/%g/%g" cfg.Config.pcie.bw_h2d_gbs
+    (Printf.sprintf "pcie=%h/%h/%h" cfg.Config.pcie.bw_h2d_gbs
        cfg.pcie.bw_d2h_gbs cfg.pcie.latency_s
-    :: Printf.sprintf "launch=%g" cfg.mic.launch_overhead_s
+    :: Printf.sprintf "launch=%h" cfg.mic.launch_overhead_s
     :: Printf.sprintf "fault=%s" (Fault.to_string cfg.fault)
     :: scales)
 

@@ -1,8 +1,13 @@
 (* The serve daemon: protocol (typed errors, never a crash), admission
-   control, budgets, the request-shared compile cache, and the
-   determinism contract — the response stream is byte-identical at any
-   pool width because admission is serial, batch cuts are fixed, and
-   emission is strictly in request order. *)
+   control, budgets, the request-shared compile cache, the determinism
+   contract, and the transport.  For a given sequence of batch cuts the
+   response stream is byte-identical at any pool width, because
+   admission is serial, pool width never decides a cut, and emission is
+   strictly in request order.  Over a pipe the daemon also cuts a batch
+   whenever its input pauses: that moves only the batch-shape fields of
+   [stats], and a request is answered without waiting for a full
+   batch.  The transport's line reader splits lines as [input_line]
+   does. *)
 
 open Helpers
 module J = Obs.Json
@@ -288,6 +293,238 @@ let stream_ok ((batch, queue), lines) =
   && List.for_all2 Fun.id
        (List.mapi (fun i line -> well_formed (i + 1) line) requests)
        r1
+
+(* {1 The transport}
+
+   [Serve.serve_channels] on its own domain over a pipe pair, as the
+   socket transport and the benchmark's daemon run it. *)
+
+let write_all fd s =
+  let b = Bytes.unsafe_of_string s in
+  let rec go off =
+    if off < Bytes.length b then
+      go (off + Unix.write fd b off (Bytes.length b - off))
+  in
+  go 0
+
+(* what [fd] holds within [timeout] seconds, appended to [buf]; false
+   at end of stream *)
+let read_some ~timeout fd buf =
+  match Unix.select [ fd ] [] [] timeout with
+  | [], _, _ -> true
+  | _ ->
+      let b = Bytes.create 65536 in
+      let n = Unix.read fd b 0 (Bytes.length b) in
+      Buffer.add_subbytes buf b 0 n;
+      n > 0
+
+let read_to_eof fd buf = while read_some ~timeout:1. fd buf do () done
+
+(* The daemon closes its output when it returns; [join] waits for it,
+   then closes the request pipe's read end, which stays open until
+   then so that writes after a [shutdown] never meet a closed pipe. *)
+let serve_on_pipes config =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  let t = Serve.create ~config () in
+  let ic = Unix.in_channel_of_descr req_r in
+  let daemon =
+    Domain.spawn (fun () ->
+        let oc = Unix.out_channel_of_descr resp_w in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () -> Serve.serve_channels t ic oc))
+  in
+  let join () =
+    Domain.join daemon;
+    close_in_noerr ic
+  in
+  (req_w, resp_r, join)
+
+let response_lines buf =
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents buf))
+
+(* One delivery of a request stream: each line's terminator ("\r\n"
+   keeps its '\r' in the line, as [input_line] does), an optional '\r'
+   spliced into the line (JSON whitespace, or a stray byte inside a
+   token), whether the last line is terminated, and a seed for how the
+   bytes are cut into writes and how long the writer pauses between
+   them. *)
+type delivery = {
+  d_batch : int;
+  d_queue : int;
+  d_lines : (string * bool * int option) list;
+      (** line, CRLF-terminated, where a '\r' is spliced in *)
+  d_last_nl : bool;
+  d_seed : int;
+}
+
+let delivered_lines d =
+  List.map
+    (fun (l, crlf, cr) ->
+      let l =
+        match cr with
+        | Some k ->
+            let k = k mod (String.length l + 1) in
+            String.sub l 0 k ^ "\r" ^ String.sub l k (String.length l - k)
+        | None -> l
+      in
+      if crlf then l ^ "\r" else l)
+    d.d_lines
+
+(* the bytes on the wire, and the lines [input_line] reads from them *)
+let wire d =
+  let lines = delivered_lines d in
+  let text = String.concat "\n" lines ^ if d.d_last_nl then "\n" else "" in
+  let read =
+    if d.d_last_nl then lines
+    else
+      (* an empty unterminated last line is no line at all *)
+      match List.rev lines with "" :: rest -> List.rev rest | _ -> lines
+  in
+  (text, read)
+
+let arb_delivery =
+  let open QCheck.Gen in
+  let line =
+    triple gen_line
+      (frequency [ (3, return false); (1, return true) ])
+      (frequency [ (3, return None); (1, map Option.some nat) ])
+  in
+  let gen =
+    int_range 1 8 >>= fun d_batch ->
+    int_range d_batch 10 >>= fun d_queue ->
+    map3
+      (fun d_lines d_last_nl d_seed ->
+        { d_batch; d_queue; d_lines; d_last_nl; d_seed })
+      (list_size (int_range 1 24) line)
+      bool nat
+  in
+  QCheck.make
+    ~print:(fun d ->
+      Printf.sprintf "batch=%d queue=%d seed=%d\n%S" d.d_batch d.d_queue
+        d.d_seed (fst (wire d)))
+    gen
+
+(* [text] written in random pieces with random pauses of 0-1 ms,
+   the write end held open until the last piece is out *)
+let send_paced ~seed fd text =
+  let st = Random.State.make [| seed |] in
+  let n = String.length text in
+  let rec go off =
+    if off < n then begin
+      let len =
+        min (n - off)
+          (if Random.State.int st 4 = 0 then 1 + Random.State.int st 16
+           else 16 + Random.State.int st 1024)
+      in
+      write_all fd (String.sub text off len);
+      if Random.State.bool st then Unix.sleepf (Random.State.float st 0.001);
+      go (off + len)
+    end
+  in
+  go 0
+
+(* the daemon stops reading at its first shutdown *)
+let through_shutdown responses =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | r :: rest -> (
+        let j = parse_response r in
+        match (J.member "cmd" j, J.member "ok" j) with
+        | Some (J.String "shutdown"), Some (J.Bool true) -> List.rev (r :: acc)
+        | _ -> go (r :: acc) rest)
+  in
+  go [] responses
+
+(* a stats response without the fields that follow the batch cuts *)
+let rec without_batch_shape = function
+  | J.Obj fields ->
+      J.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if
+               List.mem k
+                 [
+                   "serve.batch"; "serve.inline_batches";
+                   "serve.pooled_batches"; "serve.paused_batches";
+                 ]
+             then None
+             else Some (k, without_batch_shape v))
+           fields)
+  | v -> v
+
+let same_response expected got =
+  let je = parse_response expected and jg = parse_response got in
+  match J.member "cmd" je with
+  | Some (J.String "stats") ->
+      J.to_string (without_batch_shape je) = J.to_string (without_batch_shape jg)
+  | _ -> String.equal expected got
+
+let paced_ok d =
+  let text, read = wire d in
+  let config jobs =
+    cfg ~jobs ~batch:d.d_batch ~queue:d.d_queue ~max_fuel:200_000 ()
+  in
+  let _, reference = drive (config 1) read in
+  let expected = through_shutdown reference in
+  List.for_all
+    (fun jobs ->
+      let req_w, resp_r, join = serve_on_pipes (config jobs) in
+      let buf = Buffer.create 4096 in
+      send_paced ~seed:d.d_seed req_w text;
+      Unix.close req_w;
+      read_to_eof resp_r buf;
+      join ();
+      Unix.close resp_r;
+      let got = response_lines buf in
+      List.length got = List.length expected
+      && List.for_all2 same_response expected got
+      || QCheck.Test.fail_reportf "jobs %d: expected\n%s\ngot\n%s" jobs
+           (String.concat "\n" expected)
+           (String.concat "\n" got))
+    [ 1; 2 ]
+
+(* [pieces] through a pipe, written by a helper domain with a short
+   pause between pieces, read back with [Serve.Line_reader] *)
+let reader_lines pieces =
+  let r_fd, w_fd = Unix.pipe ~cloexec:true () in
+  let writer =
+    Domain.spawn (fun () ->
+        List.iter
+          (fun p ->
+            write_all w_fd p;
+            Unix.sleepf 0.001)
+          pieces;
+        Unix.close w_fd)
+  in
+  let ic = Unix.in_channel_of_descr r_fd in
+  let r = Serve.Line_reader.create ic in
+  let rec go acc =
+    match Serve.Line_reader.read r with
+    | Some l -> go (l :: acc)
+    | None -> List.rev acc
+  in
+  let lines = go [] in
+  Domain.join writer;
+  close_in ic;
+  lines
+
+(* the lines [input_line] reads from the same bytes *)
+let input_lines text =
+  let path = Filename.temp_file "serve_lines" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let lines =
+    In_channel.with_open_bin path (fun ic ->
+        let rec go acc =
+          match input_line ic with
+          | l -> go (l :: acc)
+          | exception End_of_file -> List.rev acc
+        in
+        go [])
+  in
+  Sys.remove path;
+  lines
 
 let suite =
   [
@@ -577,4 +814,82 @@ let suite =
     prop "any request stream: one typed response per line, in order, at \
           any width"
       ~count:60 arb_stream stream_ok;
+    tc "a request is answered while its pipe stays open" (fun () ->
+        let line = req_run (src_print 6) in
+        let req_w, resp_r, join = serve_on_pipes (cfg ~jobs:1 ()) in
+        write_all req_w (line ^ "\n");
+        let buf = Buffer.create 256 in
+        let deadline = Unix.gettimeofday () +. 10. in
+        let rec wait () =
+          String.contains (Buffer.contents buf) '\n'
+          ||
+          let left = deadline -. Unix.gettimeofday () in
+          left > 0.
+          && read_some ~timeout:(Float.min left 0.1) resp_r buf
+          && wait ()
+        in
+        let answered = wait () in
+        Unix.close req_w;
+        read_to_eof resp_r buf;
+        join ();
+        Unix.close resp_r;
+        Alcotest.(check bool) "answered before end of input" true answered;
+        Alcotest.(check (list string))
+          "the response" (snd (drive (cfg ~jobs:1 ()) [ line ]))
+          (response_lines buf));
+    prop "paced pipe input: the drive reference, up to batch shape"
+      ~count:40 arb_delivery paced_ok;
+    tc "the line reader splits as input_line does" (fun () ->
+        List.iter
+          (fun (what, pieces) ->
+            Alcotest.(check (list string))
+              what
+              (input_lines (String.concat "" pieces))
+              (reader_lines pieces))
+          [
+            ("no input", []);
+            ("a final line without a newline", [ "first\nlast" ]);
+            ("CRLF keeps its CR", [ "a\r\nb\r\n\r" ]);
+            ("blank lines", [ "\n\n x \n" ]);
+            ( "a line longer than 64 KB",
+              [ String.make 70_000 'x' ^ "\nshort\n" ^ String.make 65_536 'y' ] );
+            ( "a line split across two writes",
+              [ "{\"cmd\":\"st"; "ats\"}\nnext\n" ] );
+            ("a CRLF split between writes", [ "a\r"; "\nb" ]);
+          ]);
+    tc "the line reader pauses only when its pipe is empty" (fun () ->
+        let r_fd, w_fd = Unix.pipe ~cloexec:true () in
+        let ic = Unix.in_channel_of_descr r_fd in
+        let r = Serve.Line_reader.create ic in
+        let paused what expected =
+          Alcotest.(check bool) what expected (Serve.Line_reader.paused r)
+        in
+        let read what expected =
+          Alcotest.(check (option string)) what expected
+            (Serve.Line_reader.read r)
+        in
+        paused "empty and open" true;
+        write_all w_fd "a\nb\nc";
+        paused "bytes waiting" false;
+        read "first" (Some "a");
+        paused "a line buffered" false;
+        read "second" (Some "b");
+        paused "only a partial line left" true;
+        write_all w_fd "d\n";
+        paused "the rest arrived" false;
+        read "joined" (Some "cd");
+        Unix.close w_fd;
+        paused "end of input is readable" false;
+        read "end" None;
+        close_in ic;
+        (* a regular file is always readable: file input never pauses *)
+        let path = Filename.temp_file "serve_lines" ".txt" in
+        Out_channel.with_open_bin path (fun oc -> output_string oc "x\n");
+        In_channel.with_open_bin path (fun ic ->
+            let r = Serve.Line_reader.create ic in
+            Alcotest.(check bool) "file" false (Serve.Line_reader.paused r);
+            ignore (Serve.Line_reader.read r);
+            Alcotest.(check bool) "file read out" false
+              (Serve.Line_reader.paused r));
+        Sys.remove path);
   ]

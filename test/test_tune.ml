@@ -73,6 +73,152 @@ let test_fleet_errors () =
   fleet_err "devices=2,,streams=2" ~sub:"empty clause";
   fleet_err "frobnicate=1" ~sub:"unknown clause"
 
+(* Valid specs: [devices=]/[streams=] clauses, [devN:] scale clauses
+   and bare [cores=]/[bw=] clauses that stick to the last prefix, with
+   finite positive factors: short decimals, exactly 1.0, long decimal
+   mantissas, and random bit patterns (52-bit mantissas, binary
+   exponents from subnormal to the largest finite). *)
+let gen_factor =
+  let open QCheck.Gen in
+  let bits =
+    map2
+      (fun e m ->
+        Int64.float_of_bits
+          (Int64.logor (Int64.shift_left (Int64.of_int e) 52) m))
+      (int_range 0 2046)
+      (map Int64.of_int (int_bound ((1 lsl 30) - 1)) >>= fun hi ->
+       map
+         (fun lo -> Int64.logor (Int64.shift_left hi 22) (Int64.of_int lo))
+         (int_bound ((1 lsl 22) - 1)))
+  in
+  let x =
+    frequency
+      [
+        (2, oneofl [ 0.5; 0.75; 0.05; 2.; 3.; 1.; 1e6; 1e-5 ]);
+        ( 2,
+          map2
+            (fun m e -> float_of_int m *. (10. ** float_of_int e))
+            (int_range 1 99_999_999) (int_range (-12) 12) );
+        (3, bits);
+      ]
+  in
+  (* a zero bit pattern is 0.0, not positive *)
+  map (fun x -> if x > 0. && Float.is_finite x then x else 0.25) x
+
+let gen_fleet_spec =
+  let open QCheck.Gen in
+  int_range 1 6 >>= fun devices ->
+  let factor =
+    map2
+      (fun x fmt -> fmt x)
+      gen_factor
+      (oneofl [ Printf.sprintf "%.17g"; Printf.sprintf "%g"; Printf.sprintf "%h" ])
+  in
+  let axis = oneofl [ "cores"; "bw" ] in
+  let scale =
+    map3
+      (fun d (a, f) bare ->
+        Printf.sprintf "dev%d:%s=%s" d a f
+        :: List.map (fun (a, f) -> Printf.sprintf "%s=%s" a f) bare)
+      (int_bound (devices - 1))
+      (pair axis factor)
+      (list_size (int_bound 2) (pair axis factor))
+  in
+  map3
+    (fun streams scales devices_first ->
+      let grid =
+        Printf.sprintf "devices=%d" devices
+        :: Option.to_list (Option.map (Printf.sprintf "streams=%d") streams)
+      in
+      let scales = List.concat scales in
+      String.concat ","
+        (if devices_first then grid @ scales else scales @ grid))
+    (opt (int_range 1 8))
+    (list_size (int_bound 4) scale)
+    bool
+
+let fleet_round_trips spec =
+  match Fleet.parse spec with
+  | Error e ->
+      QCheck.Test.fail_reportf "generated spec %S rejected: %s" spec
+        (Fleet.error_message e)
+  | Ok f -> (
+      let printed = Fleet.to_string f in
+      match Fleet.parse printed with
+      | Ok f' when f' = f -> true
+      | Ok f' ->
+          QCheck.Test.fail_reportf "%S printed as %S, which reads back as %S"
+            spec printed (Fleet.to_string f')
+      | Error e ->
+          QCheck.Test.fail_reportf "%S printed as %S, rejected: %s" spec
+            printed (Fleet.error_message e))
+
+(* a valid spec with one character truncated, overwritten, inserted or
+   deleted, or a string of grammar-ish garbage *)
+let gen_bad_fleet_spec =
+  let open QCheck.Gen in
+  let alphabet = "devicsrtamobw=:,.0123456789-+eExpna " in
+  let char =
+    frequency
+      [
+        (4, map (String.get alphabet) (int_bound (String.length alphabet - 1)));
+        (1, map Char.chr (int_range 0 255));
+      ]
+  in
+  let mutate spec =
+    let n = String.length spec in
+    if n = 0 then return spec
+    else
+      frequency
+        [
+          (1, map (fun k -> String.sub spec 0 k) (int_bound (n - 1)));
+          ( 2,
+            map2
+              (fun k c -> String.mapi (fun i x -> if i = k then c else x) spec)
+              (int_bound (n - 1))
+              char );
+          ( 2,
+            map2
+              (fun k c ->
+                String.sub spec 0 k ^ String.make 1 c
+                ^ String.sub spec k (n - k))
+              (int_bound n) char );
+          ( 1,
+            map
+              (fun k ->
+                String.sub spec 0 k ^ String.sub spec (k + 1) (n - k - 1))
+              (int_bound (n - 1)) );
+        ]
+  in
+  frequency
+    [
+      (3, gen_fleet_spec >>= mutate);
+      (1, string_size ~gen:char (int_range 0 40));
+    ]
+
+(* never an exception: an error is typed and names a token; a spec
+   that still parses is a valid fleet that round-trips *)
+let fleet_parse_total spec =
+  match Fleet.parse spec with
+  | exception ex ->
+      QCheck.Test.fail_reportf "%S raised %s" spec (Printexc.to_string ex)
+  | Error e ->
+      contains ~sub:e.Fleet.reason (Fleet.error_message e)
+      || QCheck.Test.fail_reportf "%S: untyped error %S" spec
+           (Fleet.error_message e)
+  | Ok f ->
+      (f.Fleet.f_devices >= 1 && f.Fleet.f_streams >= 1
+      && List.for_all
+           (fun (d, (s : Config.scale)) ->
+             d >= 0 && d < f.Fleet.f_devices
+             && List.for_all
+                  (fun x -> Float.is_finite x && x > 0.)
+                  [ s.Config.sc_cores; s.Config.sc_bw ])
+           f.Fleet.f_scales
+      || QCheck.Test.fail_reportf "%S parsed to the invalid fleet %S" spec
+           (Fleet.to_string f))
+      && Fleet.parse (Fleet.to_string f) = Ok f
+
 let test_fleet_apply () =
   let f = fleet_ok "devices=3,streams=2,dev1:cores=0.5" in
   let cfg = Fleet.apply Config.paper_default f in
@@ -889,6 +1035,14 @@ let suite =
       test_fleet_parse;
     tc "fleet spec round-trips through to_string" test_fleet_roundtrip;
     tc "malformed fleet specs are typed errors" test_fleet_errors;
+    prop "fleet specs round-trip through to_string, factors exactly"
+      ~count:300
+      (QCheck.make ~print:Fun.id gen_fleet_spec)
+      fleet_round_trips;
+    prop "mutated and garbage fleet specs parse or fail typed, never raise"
+      ~count:300
+      (QCheck.make ~print:(Printf.sprintf "%S") gen_bad_fleet_spec)
+      fleet_parse_total;
     tc "fleet installs into the machine config" test_fleet_apply;
     tc "search is deterministic across --jobs widths" test_jobs_determinism;
     tc "ties break by lexicographic config order" test_tiebreak_lexicographic;
