@@ -56,7 +56,9 @@ let apply ?(nblocks = 4) txf prog =
      domain of a parallel sweep runs the rewrite *)
   Transforms.Util.reset_fresh ();
   match txf with
-  | Streaming -> Transforms.Streaming.transform_all ~nblocks prog
+  | Streaming ->
+      let p, streamed = Transforms.Streaming.transform_all ~nblocks prog in
+      (p, List.length streamed)
   | Regularize ->
       let p, applied =
         Transforms.Regularize.transform_all_kinds

@@ -27,6 +27,8 @@ type applied = {
   regularized : (string * Transforms.Regularize.kind) list;
   merged : int;  (** offload-merging sites rewritten *)
   streamed : int;  (** loops rewritten for data streaming *)
+  streamed_regions : Transforms.Streaming.info list;
+      (** the analysis of each of those loops, in program order *)
   vectorized : int;  (** loops annotated [omp simd] *)
   resident : int;
       (** transfers elided or hoisted by the inter-offload residency
@@ -108,10 +110,10 @@ let optimize ?opt ?obs ?(residency = false) ?(passes = all_passes)
   let prog, merged =
     run Merge_offloads Transforms.Merge_offload.transform_all prog
   in
-  let prog, streamed =
+  let prog, streamed_regions =
     if on Data_streaming then
       Transforms.Streaming.transform_all ~nblocks ~memory prog
-    else (prog, 0)
+    else (prog, [])
   in
   let prog, vectorized =
     run Vectorization Transforms.Vectorize.transform_all prog
@@ -128,7 +130,8 @@ let optimize ?opt ?obs ?(residency = false) ?(passes = all_passes)
       shared_rewritten;
       regularized;
       merged;
-      streamed;
+      streamed = List.length streamed_regions;
+      streamed_regions;
       vectorized;
       resident;
     } )

@@ -26,6 +26,10 @@ type applied = {
   regularized : (string * Transforms.Regularize.kind) list;
   merged : int;  (** offload-merging sites rewritten *)
   streamed : int;  (** loops rewritten for data streaming *)
+  streamed_regions : Transforms.Streaming.info list;
+      (** the analysis of each of those loops, in program order: what
+          {!Transforms.Streaming.retrace} reads the lowering's streamed
+          instances by *)
   vectorized : int;  (** loops annotated [omp simd] *)
   resident : int;
       (** transfers elided or hoisted by the inter-offload residency

@@ -317,10 +317,30 @@ let parse s =
     in
     go none clauses
 
+(* The shortest of [%g], [%.15g], [%.16g] and [%.17g] that reads back
+   as exactly [x], the first on a tie: 0.001 prints "0.001", as [%g]
+   does, but 0.1234567 stays "0.1234567" where [%g] rounds it to
+   "0.123457".  [%.17g] always reads back. *)
+let float_to_string x =
+  let exact fmt =
+    let s = Printf.sprintf fmt x in
+    if Float.equal (float_of_string s) x then Some s else None
+  in
+  List.fold_left
+    (fun best s ->
+      match (best, s) with
+      | Some b, Some s when String.length s < String.length b -> Some s
+      | None, s -> s
+      | best, _ -> best)
+    None
+    [ exact "%g"; exact "%.15g"; exact "%.16g"; exact "%.17g" ]
+  |> Option.get
+
 let base_clauses s =
   let p = s.policy and d = default_policy in
+  let num = float_to_string in
     (if s.seed <> 0 then [ Printf.sprintf "seed=%d" s.seed ] else [])
-    @ (if s.xfer_prob > 0. then [ Printf.sprintf "xfer=%g" s.xfer_prob ]
+    @ (if s.xfer_prob > 0. then [ "xfer=" ^ num s.xfer_prob ]
        else [])
     @ List.map
         (fun (i, k) ->
@@ -329,12 +349,12 @@ let base_clauses s =
         s.xfer_fail
     @ List.map (Printf.sprintf "kill@%d") s.kill
     @ List.map (Printf.sprintf "drop@%d") s.drop_signals
-    @ List.map (fun (t, d) -> Printf.sprintf "delay@%d:%g" t d) s.delay_signals
+    @ List.map (fun (t, d) -> Printf.sprintf "delay@%d:%s" t (num d)) s.delay_signals
     @ (match s.reset_at with
-      | Some t -> [ Printf.sprintf "reset@%g" t ]
+      | Some t -> [ "reset@" ^ num t ]
       | None -> [])
     @ (if s.myo_stall_prob > 0. then
-         [ Printf.sprintf "myo-stall=%g:%g" s.myo_stall_prob s.myo_stall_s ]
+         [ Printf.sprintf "myo-stall=%s:%s" (num s.myo_stall_prob) (num s.myo_stall_s) ]
        else [])
     @ (if p.max_retries <> d.max_retries then
          [ Printf.sprintf "retries=%d" p.max_retries ]
@@ -342,21 +362,21 @@ let base_clauses s =
     @ (if
          p.backoff_base_s <> d.backoff_base_s
          || p.backoff_ceiling_s <> d.backoff_ceiling_s
-       then [ Printf.sprintf "backoff=%g:%g" p.backoff_base_s p.backoff_ceiling_s ]
+       then [ Printf.sprintf "backoff=%s:%s" (num p.backoff_base_s) (num p.backoff_ceiling_s) ]
        else [])
     @ (if p.wait_timeout_s <> d.wait_timeout_s then
-         [ Printf.sprintf "timeout=%g" p.wait_timeout_s ]
+         [ "timeout=" ^ num p.wait_timeout_s ]
        else [])
     @ (if p.dead_after <> d.dead_after then
          [ Printf.sprintf "dead-after=%d" p.dead_after ]
        else [])
     @ (if p.cpu_fallback <> d.cpu_fallback then [ "no-fallback" ] else [])
     @ (if p.fallback_slowdown <> d.fallback_slowdown then
-         [ Printf.sprintf "slowdown=%g" p.fallback_slowdown ]
+         [ "slowdown=" ^ num p.fallback_slowdown ]
        else [])
   @
   if p.reset_recovery_s <> d.reset_recovery_s then
-    [ Printf.sprintf "reset-cost=%g" p.reset_recovery_s ]
+    [ "reset-cost=" ^ num p.reset_recovery_s ]
   else []
 
 let to_string s =

@@ -84,7 +84,15 @@ val parse : string -> (spec, parse_error) result
 
 val to_string : spec -> string
 (** Canonical spec string; [parse (to_string s)] round-trips
-    (property-tested, including [devN:] refinements). *)
+    (property-tested, including [devN:] refinements, full-precision
+    mantissas and extreme exponents). *)
+
+val float_to_string : float -> string
+(** The shortest of [%g], [%.15g], [%.16g] and [%.17g] that reads back
+    as exactly the float, the first on a tie: [0.001] prints ["0.001"]
+    as [%g] does, but [0.1234567] stays ["0.1234567"] where [%g] would
+    round it.  Every float of a fault or fleet spec prints through
+    it. *)
 
 (** {1 Plans} *)
 

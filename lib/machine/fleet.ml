@@ -147,22 +147,10 @@ let parse s =
                 fleet.f_scales;
           }
 
-(* The shortest of [%.15g], [%.16g] and [%.17g] that reads back as
-   exactly [x]: 0.5 prints "0.5", as [%g] does, but 0.1234567 stays
-   "0.1234567" where [%g] rounds it to "0.123457". *)
-let factor_to_string x =
-  let exact prec =
-    let s = Printf.sprintf "%.*g" prec x in
-    if float_of_string s = x then Some s else None
-  in
-  match (exact 15, exact 16) with
-  | Some s, _ | None, Some s -> s
-  | None, None -> Printf.sprintf "%.17g" x
-
 let scale_clauses f =
   let clause d axis x =
     if x <> 1.0 then
-      [ Printf.sprintf "dev%d:%s=%s" d axis (factor_to_string x) ]
+      [ Printf.sprintf "dev%d:%s=%s" d axis (Fault.float_to_string x) ]
     else []
   in
   List.concat_map

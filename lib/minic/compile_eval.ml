@@ -116,6 +116,43 @@ let vtrue = Vbool true
 let vfalse = Vbool false
 let[@inline] vbool b = if b then vtrue else vfalse
 
+(* A [for] loop's generic driver that also records, into [p], its
+   first index and each completed iteration's fuel: a kernel's loop in
+   a profiled run (see [compile_for]) *)
+let record_loop (p : profile) ~clo ~slot ~cbody ~chi ~cstep rt =
+  fast_burn rt.st;
+  let st = rt.st in
+  let cell = fast_alloc st rt.space 1 in
+  let lo_v = clo rt in
+  rt.slots.(slot) <- { cell; vty = Tint };
+  fast_store st cell lo_v;
+  let iterations = ref [] in
+  let rec loop () =
+    let fuel0 = st.fuel in
+    fast_burn st;
+    let i = as_int (fast_load st cell) in
+    let hi_v = as_int (chi rt) in
+    if i < hi_v then
+      match cbody rt with
+      | Normal | Continue ->
+          let stepv = as_int (cstep rt) in
+          fast_store st cell (Vint (i + stepv));
+          iterations := (fuel0 - st.fuel) :: !iterations;
+          loop ()
+      | Break -> Normal
+      | Return _ as r -> r
+    else Normal
+  in
+  let fl = loop () in
+  (* the first bound check already read [lo_v] as an int *)
+  p.kernel_loop <-
+    Some
+      {
+        lp_first = as_int lo_v;
+        lp_iterations = Array.of_list (List.rev !iterations);
+      };
+  fl
+
 (** {1 Static resolution}
 
     Compile-time mirrors of [sizeof] / [field_offset] / [static_ty].
@@ -308,6 +345,14 @@ let transfer_out rt cs =
       copy_cells rt.st
         ~src:{ mic_base with ofs = mic_base.ofs + start_cells }
         ~dst n
+
+let section_name cs = cs.c_arr
+
+(* [ins] then [outs], with each section's moved cells in a profiled
+   run (see [Interp.move_sections]) *)
+let move_all rt ins outs =
+  let sections = move_sections rt.st ~name:section_name (transfer_in rt) ins in
+  sections @ move_sections rt.st ~name:section_name (transfer_out rt) outs
 
 (* out-only arrays need a device buffer even without an in() copy *)
 let ensure_shadow rt cs =
@@ -940,97 +985,7 @@ and compile_stmt ctx scope nslots (stmt : stmt) : scode =
           else Normal
         in
         loop ()
-  | Sfor { index; lo; hi; step; body } -> (
-      (* [lo] is evaluated before the index is in scope *)
-      let clo = cexpr ctx scope lo in
-      let slot = fresh_slot nslots in
-      let scope' = (index, (slot, Tint)) :: scope in
-      let cbody = compile_block ctx scope' nslots body in
-      (* literal bound/step fold away their per-iteration closure
-         calls; evaluating an [Int_lit] has no observable effect, so
-         hoisting it is parity-safe *)
-      let generic () =
-        let chi = cexpr ctx scope' hi in
-        let cstep = cexpr ctx scope' step in
-        fun rt ->
-          fast_burn rt.st;
-          let st = rt.st in
-          let cell = fast_alloc st rt.space 1 in
-          let lo_v = clo rt in
-          rt.slots.(slot) <- { cell; vty = Tint };
-          fast_store st cell lo_v;
-          let rec loop () =
-            fast_burn st;
-            let i = as_int (fast_load st cell) in
-            let hi_v = as_int (chi rt) in
-            if i < hi_v then
-              match cbody rt with
-              | Normal | Continue ->
-                  let stepv = as_int (cstep rt) in
-                  fast_store st cell (Vint (i + stepv));
-                  loop ()
-              | Break -> Normal
-              | Return _ as r -> r
-            else Normal
-          in
-          loop ()
-      in
-      match (hi, step) with
-      | Int_lit hi_n, Int_lit step_n ->
-          fun rt ->
-            fast_burn rt.st;
-            let st = rt.st in
-            let cell = fast_alloc st rt.space 1 in
-            let lo_v = clo rt in
-            rt.slots.(slot) <- { cell; vty = Tint };
-            fast_store st cell lo_v;
-            let rec loop () =
-              fast_burn st;
-              let i = as_int (fast_load st cell) in
-              if i < hi_n then
-                match cbody rt with
-                | Normal | Continue ->
-                    fast_store st cell (Vint (i + step_n));
-                    loop ()
-                | Break -> Normal
-                | Return _ as r -> r
-              else Normal
-            in
-            loop ()
-      | Var v, Int_lit step_n -> (
-          (* [i < n] bounds: read the bound straight from its slot each
-             iteration (same cell the generic closure reads).  One
-             [assoc_opt] scan decides the specialization; an unbound
-             bound variable takes the generic path, which raises the
-             reference interpreter's error at the same point. *)
-          match List.assoc_opt v scope' with
-          | Some (hi_slot, _) ->
-              fun rt ->
-                fast_burn rt.st;
-                let st = rt.st in
-                let cell = fast_alloc st rt.space 1 in
-                let lo_v = clo rt in
-                rt.slots.(slot) <- { cell; vty = Tint };
-                fast_store st cell lo_v;
-                let rec loop () =
-                  fast_burn st;
-                  let i = as_int (fast_load st cell) in
-                  let hi_v =
-                    as_int
-                      (fast_load st (Array.unsafe_get rt.slots hi_slot).cell)
-                  in
-                  if i < hi_v then
-                    match cbody rt with
-                    | Normal | Continue ->
-                        fast_store st cell (Vint (i + step_n));
-                        loop ()
-                    | Break -> Normal
-                    | Return _ as r -> r
-                  else Normal
-                in
-                loop ()
-          | None -> generic ())
-      | _ -> generic ())
+  | Sfor fl -> compile_for ctx scope nslots ~kernel:false fl
   | Sreturn None ->
       let r = Return Vundef in
       fun rt ->
@@ -1056,6 +1011,123 @@ and compile_stmt ctx scope nslots (stmt : stmt) : scode =
         Continue
   | Spragma (p, s) -> compile_pragma ctx scope nslots p s
 
+(* A [for] loop.  A kernel's loop ([~kernel:true]: the [for] beneath an
+   offload's [omp] pragmas) picks its driver at entry: [record_loop] in
+   a profiled run, otherwise the same driver as any loop. *)
+and compile_for ctx scope nslots ~kernel { index; lo; hi; step; body } : scode
+    =
+  (* [lo] is evaluated before the index is in scope *)
+  let clo = cexpr ctx scope lo in
+  let slot = fresh_slot nslots in
+  let scope' = (index, (slot, Tint)) :: scope in
+  let cbody = compile_block ctx scope' nslots body in
+  (* literal bound/step fold away their per-iteration closure
+     calls; evaluating an [Int_lit] has no observable effect, so
+     hoisting it is parity-safe *)
+  let generic () =
+    let chi = cexpr ctx scope' hi in
+    let cstep = cexpr ctx scope' step in
+    fun rt ->
+      fast_burn rt.st;
+      let st = rt.st in
+      let cell = fast_alloc st rt.space 1 in
+      let lo_v = clo rt in
+      rt.slots.(slot) <- { cell; vty = Tint };
+      fast_store st cell lo_v;
+      let rec loop () =
+        fast_burn st;
+        let i = as_int (fast_load st cell) in
+        let hi_v = as_int (chi rt) in
+        if i < hi_v then
+          match cbody rt with
+          | Normal | Continue ->
+              let stepv = as_int (cstep rt) in
+              fast_store st cell (Vint (i + stepv));
+              loop ()
+          | Break -> Normal
+          | Return _ as r -> r
+        else Normal
+      in
+      loop ()
+  in
+  let fast =
+    match (hi, step) with
+    | Int_lit hi_n, Int_lit step_n ->
+        fun rt ->
+          fast_burn rt.st;
+          let st = rt.st in
+          let cell = fast_alloc st rt.space 1 in
+          let lo_v = clo rt in
+          rt.slots.(slot) <- { cell; vty = Tint };
+          fast_store st cell lo_v;
+          let rec loop () =
+            fast_burn st;
+            let i = as_int (fast_load st cell) in
+            if i < hi_n then
+              match cbody rt with
+              | Normal | Continue ->
+                  fast_store st cell (Vint (i + step_n));
+                  loop ()
+              | Break -> Normal
+              | Return _ as r -> r
+            else Normal
+          in
+          loop ()
+    | Var v, Int_lit step_n -> (
+        (* [i < n] bounds: read the bound straight from its slot each
+           iteration (same cell the generic closure reads).  One
+           [assoc_opt] scan decides the specialization; an unbound
+           bound variable takes the generic path, which raises the
+           reference interpreter's error at the same point. *)
+        match List.assoc_opt v scope' with
+        | Some (hi_slot, _) ->
+            fun rt ->
+              fast_burn rt.st;
+              let st = rt.st in
+              let cell = fast_alloc st rt.space 1 in
+              let lo_v = clo rt in
+              rt.slots.(slot) <- { cell; vty = Tint };
+              fast_store st cell lo_v;
+              let rec loop () =
+                fast_burn st;
+                let i = as_int (fast_load st cell) in
+                let hi_v =
+                  as_int
+                    (fast_load st (Array.unsafe_get rt.slots hi_slot).cell)
+                in
+                if i < hi_v then
+                  match cbody rt with
+                  | Normal | Continue ->
+                      fast_store st cell (Vint (i + step_n));
+                      loop ()
+                  | Break -> Normal
+                  | Return _ as r -> r
+                else Normal
+              in
+              loop ()
+        | None -> generic ())
+    | _ -> generic ()
+  in
+  if not kernel then fast
+  else
+    let chi = cexpr ctx scope' hi and cstep = cexpr ctx scope' step in
+    fun rt ->
+      match rt.st.profile with
+      | None -> fast rt
+      | Some p -> record_loop p ~clo ~slot ~cbody ~chi ~cstep rt
+
+(* An offload body: as [compile_stmt] compiles it, with the [for]
+   beneath its [omp] pragmas compiled as a kernel loop *)
+and compile_kernel ctx scope nslots stmt : scode =
+  match stmt with
+  | Spragma ((Omp_parallel_for | Omp_simd), s) ->
+      let inner = compile_kernel ctx scope nslots s in
+      fun rt ->
+        fast_burn rt.st;
+        inner rt
+  | Sfor fl -> compile_for ctx scope nslots ~kernel:true fl
+  | s -> compile_stmt ctx scope nslots s
+
 and compile_pragma ctx scope nslots pragma stmt : scode =
   match pragma with
   | Omp_parallel_for | Omp_simd ->
@@ -1069,8 +1141,7 @@ and compile_pragma ctx scope nslots pragma stmt : scode =
       let c = cexpr ctx scope e in
       fun rt ->
         fast_burn rt.st;
-        let st = rt.st in
-        st.events <- Ev_wait (as_int (c rt)) :: st.events;
+        emit rt.st (Ev_wait (as_int (c rt))) [];
         Normal
   | Offload_transfer spec ->
       let c_ins =
@@ -1086,14 +1157,12 @@ and compile_pragma ctx scope nslots pragma stmt : scode =
         fast_burn rt.st;
         let st = rt.st in
         let h0 = st.stats.cells_h2d and d0 = st.stats.cells_d2h in
-        List.iter (transfer_in rt) c_ins;
-        List.iter (transfer_out rt) c_outs;
+        let sections = move_all rt c_ins c_outs in
         let h2d_cells = st.stats.cells_h2d - h0
         and d2h_cells = st.stats.cells_d2h - d0 in
         let signal = Option.map (fun c -> as_int (c rt)) c_signal in
         if h2d_cells > 0 || d2h_cells > 0 || Option.is_some signal then
-          st.events <-
-            Ev_transfer { h2d_cells; d2h_cells; signal } :: st.events;
+          emit st (Ev_transfer { h2d_cells; d2h_cells; signal }) sections;
         Normal
   | Offload spec -> compile_offload ctx scope nslots spec stmt
 
@@ -1109,7 +1178,7 @@ and compile_offload ctx scope nslots spec stmt : scode =
   in
   let c_phase4 = List.map sec (spec.outs @ spec.inouts) in
   let c_wait = Option.map (cexpr ctx scope) spec.wait in
-  let cbody = compile_stmt ctx scope nslots stmt in
+  let cbody = compile_kernel ctx scope nslots stmt in
   fun rt ->
     fast_burn rt.st;
     if rt.space = Mic then error "nested offload";
@@ -1117,12 +1186,12 @@ and compile_offload ctx scope nslots spec stmt : scode =
     st.stats.offloads <- st.stats.offloads + 1;
     (* 1. copy in/inout sections host -> device *)
     let h0 = st.stats.cells_h2d in
-    List.iter (transfer_in rt) c_in;
+    let sections = move_sections st ~name:section_name (transfer_in rt) c_in in
     let in_cells = st.stats.cells_h2d - h0 in
     if in_cells > 0 then
-      st.events <-
-        Ev_transfer { h2d_cells = in_cells; d2h_cells = 0; signal = None }
-        :: st.events;
+      emit st
+        (Ev_transfer { h2d_cells = in_cells; d2h_cells = 0; signal = None })
+        sections;
     (* out-only arrays need a device buffer even without an in() copy *)
     List.iter (ensure_shadow rt) c_outs;
     (* 2. rebind clause arrays (without into) to their MIC shadows *)
@@ -1174,8 +1243,7 @@ and compile_offload ctx scope nslots spec stmt : scode =
                 (acc, cells + n))
         ([], 0) c_nocopy
     in
-    if c_nocopy <> [] then
-      st.events <- Ev_resident { cells = resident_cells } :: st.events;
+    if c_nocopy <> [] then emit st (Ev_resident { cells = resident_cells }) [];
     let rebinds = rebinds @ nocopy_rebinds in
     let saved =
       List.map
@@ -1193,15 +1261,17 @@ and compile_offload ctx scope nslots spec stmt : scode =
     List.iter (fun (k, old) -> rt.slots.(k) <- old) saved;
     let work = fuel0 - st.fuel in
     let wait = Option.map (fun c -> as_int (c rt)) c_wait in
-    st.events <- Ev_kernel { work; wait } :: st.events;
+    emit st (Ev_kernel { work; wait }) [];
     (* 4. copy out/inout sections device -> host *)
     let d0 = st.stats.cells_d2h in
-    List.iter (transfer_out rt) c_phase4;
+    let sections =
+      move_sections st ~name:section_name (transfer_out rt) c_phase4
+    in
     let out_cells = st.stats.cells_d2h - d0 in
     if out_cells > 0 then
-      st.events <-
-        Ev_transfer { h2d_cells = 0; d2h_cells = out_cells; signal = None }
-        :: st.events;
+      emit st
+        (Ev_transfer { h2d_cells = 0; d2h_cells = out_cells; signal = None })
+        sections;
     match fl with
     | Normal -> Normal
     | Return _ | Break | Continue -> error "control flow escaped offload"
@@ -1244,7 +1314,7 @@ let compile_func ctx (f : func) : state -> space -> value list -> value =
 
 type compiled = {
   source : program;
-  exec : fuel:int -> (outcome, string) result;
+  exec : profile:profile option -> fuel:int -> (outcome, string) result;
 }
 
 let uncompiled _ _ _ = error "function called before compilation finished"
@@ -1296,8 +1366,8 @@ let compile (prog : program) : compiled =
     | Some cf -> Some (compile_block ctx gscope g_nslots cf.src.body)
   in
   let total_slots = !g_nslots in
-  let exec ~fuel =
-    let st = init_state prog in
+  let exec ~profile ~fuel =
+    let st = init_state ?profile prog in
     st.fuel <- fuel;
     try
       let slots = Array.make (max total_slots 1) dummy_binding in
@@ -1328,7 +1398,7 @@ let compile (prog : program) : compiled =
   { source = prog; exec }
 
 let source c = c.source
-let exec ?(fuel = 10_000_000) c = c.exec ~fuel
+let exec ?(fuel = default_fuel) c = c.exec ~profile:None ~fuel
 
 (** {1 Compiled-program cache}
 
@@ -1382,8 +1452,14 @@ let cached_compile prog =
 
 let compile_count () = !(Domain.DLS.get compiles)
 
-let run_compiled ?(fuel = 10_000_000) prog =
-  (cached_compile prog).exec ~fuel
+let run_compiled ?(fuel = default_fuel) prog =
+  (cached_compile prog).exec ~profile:None ~fuel
+
+let run_profiled ?(fuel = default_fuel) prog =
+  let p = new_profile fuel in
+  Result.map
+    (fun o -> (o, details p))
+    ((cached_compile prog).exec ~profile:(Some p) ~fuel)
 
 (** Engine-dispatched entry point: the one call sites thread
     [?engine] through. *)

@@ -30,6 +30,19 @@ val run_compiled :
   ?fuel:int -> Ast.program -> (Interp.outcome, string) result
 (** Compile (through the per-domain cache) and execute. *)
 
+val run_profiled :
+  ?fuel:int ->
+  Ast.program ->
+  (Interp.outcome * Interp.detail list, string) result
+(** {!run_compiled} with {!Interp.run_profiled}'s per-event profile:
+    the same outcome and the same details as the reference engine.
+    The program compiles through the same cache, and one compiled
+    program serves both kinds of run: the [for] beneath a kernel's
+    [omp] pragmas picks, at its entry, a driver that records its first
+    index and each iteration's fuel, in a profiled run only.  Any other
+    loop, and that loop in an unprofiled run, runs the driver it always
+    ran. *)
+
 val run :
   ?engine:Interp.engine ->
   ?fuel:int ->

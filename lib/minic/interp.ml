@@ -47,6 +47,37 @@ type event =
   | Ev_kernel of { work : int; wait : int option }
       (** [work] = statements executed inside the offload body *)
 
+(** {1 Per-event profile}
+
+    An opt-in run ({!run_profiled}) records one [detail] beside every
+    event it appends.  The switch is the run's own [state.profile], so
+    runs on other domains are unaffected, and a run without it
+    allocates nothing for it. *)
+
+type loop_profile = {
+  lp_first : int;  (** the loop's first index *)
+  lp_iterations : int array;
+      (** fuel of each completed iteration, in order: its bound check,
+          body and step *)
+}
+
+type detail = {
+  d_fuel : int;  (** fuel consumed when the event was appended *)
+  d_sections : (string * int) list;
+      (** [Ev_transfer]: each section's array and the cells it moved
+          between the two heaps, in clause order *)
+  d_loop : loop_profile option;
+      (** [Ev_kernel] whose offload body is a [for] under [omp]
+          pragmas: that loop *)
+}
+
+type profile = {
+  budget : int;  (** the run's fuel, so [d_fuel] counts consumption *)
+  mutable details : detail list;  (** reversed *)
+  mutable kernel_loop : loop_profile option;
+      (** the running kernel's loop, until its [Ev_kernel] takes it *)
+}
+
 type state = {
   cpu : heap;
   mic : heap;
@@ -60,6 +91,7 @@ type state = {
   mutable events : event list;  (** reversed *)
   shadows : (int, addr) Hashtbl.t;
       (** CPU base offset -> MIC shadow buffer, reused across offloads *)
+  profile : profile option;  (** [Some] only in a profiled run *)
 }
 
 (** Variable bindings: name -> (cell address, static type). *)
@@ -252,6 +284,48 @@ let check_deref (mode : mode) (addr : addr) =
 let burn st =
   st.fuel <- st.fuel - 1;
   if st.fuel <= 0 then raise Out_of_fuel
+
+(** {1 Event emission}
+
+    Shared with the compiled evaluator, so both engines append the same
+    events and, in a profiled run, the same details. *)
+
+(* Append [ev]; in a profiled run, with its detail: [sections] for a
+   transfer, and for a kernel the loop its body recorded. *)
+let emit st ev sections =
+  st.events <- ev :: st.events;
+  match st.profile with
+  | None -> ()
+  | Some p ->
+      let loop =
+        match ev with
+        | Ev_kernel _ ->
+            let l = p.kernel_loop in
+            p.kernel_loop <- None;
+            l
+        | _ -> None
+      in
+      p.details <-
+        { d_fuel = p.budget - st.fuel; d_sections = sections; d_loop = loop }
+        :: p.details
+
+let moved_cells st = st.stats.cells_h2d + st.stats.cells_d2h
+
+(* Apply [move] to each section in order; in a profiled run, return
+   each section's array and the cells it moved, else [].  The one
+   branch is per transfer, never per section. *)
+let move_sections st ~name move sections =
+  match st.profile with
+  | None ->
+      List.iter move sections;
+      []
+  | Some _ ->
+      List.map
+        (fun s ->
+          let before = moved_cells st in
+          move s;
+          (name s, moved_cells st - before))
+        sections
 
 (** {1 Transfer machinery}
 
@@ -626,18 +700,18 @@ and exec_pragma st mode frame pragma stmt : flow =
       (* functional semantics of a parallel loop = sequential execution *)
       exec_stmt st mode frame stmt
   | Offload_wait e ->
-      st.events <- Ev_wait (as_int (eval st mode frame e)) :: st.events;
+      emit st (Ev_wait (as_int (eval st mode frame e))) [];
       Normal
   | Offload_transfer spec ->
       let h0 = st.stats.cells_h2d and d0 = st.stats.cells_d2h in
-      do_transfers st mode frame spec;
+      let sections = do_transfers st mode frame spec in
       let h2d_cells = st.stats.cells_h2d - h0
       and d2h_cells = st.stats.cells_d2h - d0 in
       let signal =
         Option.map (fun e -> as_int (eval st mode frame e)) spec.signal
       in
       if h2d_cells > 0 || d2h_cells > 0 || Option.is_some signal then
-        st.events <- Ev_transfer { h2d_cells; d2h_cells; signal } :: st.events;
+        emit st (Ev_transfer { h2d_cells; d2h_cells; signal }) sections;
       Normal
   | Offload spec -> exec_offload st mode frame spec stmt
 
@@ -705,20 +779,21 @@ and do_transfers st mode frame spec =
           ~src:{ mic_base with ofs = mic_base.ofs + start_cells }
           ~dst n
   in
-  List.iter transfer_in (spec.ins @ spec.inouts);
-  List.iter transfer_out spec.outs
+  let name (s : section) = s.arr in
+  let ins = move_sections st ~name transfer_in (spec.ins @ spec.inouts) in
+  ins @ move_sections st ~name transfer_out spec.outs
 
 and exec_offload st mode frame spec stmt : flow =
   if mode.space = Mic then error "nested offload";
   st.stats.offloads <- st.stats.offloads + 1;
   (* 1. copy in/inout sections host -> device *)
   let h0 = st.stats.cells_h2d in
-  do_transfers st mode frame { spec with outs = [] };
+  let sections = do_transfers st mode frame { spec with outs = [] } in
   let in_cells = st.stats.cells_h2d - h0 in
   if in_cells > 0 then
-    st.events <-
-      Ev_transfer { h2d_cells = in_cells; d2h_cells = 0; signal = None }
-      :: st.events;
+    emit st
+      (Ev_transfer { h2d_cells = in_cells; d2h_cells = 0; signal = None })
+      sections;
   (* 2. rebind clause arrays (without into) to their MIC shadows *)
   let rebind acc (s : section) =
     if Option.is_some s.into || List.mem_assoc s.arr acc then acc
@@ -778,13 +853,16 @@ and exec_offload st mode frame spec stmt : flow =
               (acc, cells + n))
       ([], 0) spec.nocopy
   in
-  if spec.nocopy <> [] then
-    st.events <- Ev_resident { cells = resident_cells } :: st.events;
+  if spec.nocopy <> [] then emit st (Ev_resident { cells = resident_cells }) [];
   let rebinds = rebinds @ nocopy_rebinds in
   List.iter (fun (name, b) -> bind frame name b) rebinds;
   (* 3. run the body in MIC mode *)
   let fuel0 = st.fuel in
-  let fl = exec_stmt st { space = Mic } frame stmt in
+  let fl =
+    match st.profile with
+    | None -> exec_stmt st { space = Mic } frame stmt
+    | Some p -> exec_kernel st { space = Mic } frame p stmt
+  in
   (* the rebinds scope over the body only: the out/inout copies below
      resolve sections against the host bindings again *)
   List.iter (fun (name, _) -> unbind frame name) rebinds;
@@ -792,21 +870,68 @@ and exec_offload st mode frame spec stmt : flow =
   let wait =
     Option.map (fun e -> as_int (eval st mode frame e)) spec.wait
   in
-  st.events <- Ev_kernel { work; wait } :: st.events;
+  emit st (Ev_kernel { work; wait }) [];
   (* 4. copy out/inout sections device -> host (inouts must not be
      re-transferred inward here, or stale host data would overwrite the
      kernel's results) *)
   let d0 = st.stats.cells_d2h in
-  do_transfers st mode frame
-    { spec with ins = []; inouts = []; outs = spec.outs @ spec.inouts };
+  let sections =
+    do_transfers st mode frame
+      { spec with ins = []; inouts = []; outs = spec.outs @ spec.inouts }
+  in
   let out_cells = st.stats.cells_d2h - d0 in
   if out_cells > 0 then
-    st.events <-
-      Ev_transfer { h2d_cells = 0; d2h_cells = out_cells; signal = None }
-      :: st.events;
+    emit st
+      (Ev_transfer { h2d_cells = 0; d2h_cells = out_cells; signal = None })
+      sections;
   match fl with
   | Normal -> Normal
   | Return _ | Break | Continue -> error "control flow escaped offload"
+
+(* An offload body in a profiled run: [omp] pragmas burn as
+   [exec_stmt] burns them, and a [for] beneath them runs as
+   [exec_stmt] runs it, recording its first index and each completed
+   iteration's fuel for the kernel's detail. *)
+and exec_kernel st mode frame p stmt : flow =
+  match stmt with
+  | Spragma ((Omp_parallel_for | Omp_simd), s) ->
+      burn st;
+      exec_kernel st mode frame p s
+  | Sfor { index; lo; hi; step; body } ->
+      burn st;
+      let cell = alloc st mode.space 1 in
+      let lo_v = eval st mode frame lo in
+      bind frame index { cell; vty = Tint };
+      store st cell lo_v;
+      let iterations = ref [] in
+      let rec loop () =
+        let fuel0 = st.fuel in
+        burn st;
+        let i = as_int (load st cell) in
+        let hi_v = as_int (eval st mode frame hi) in
+        if i < hi_v then begin
+          match exec_block st mode frame body with
+          | Normal | Continue ->
+              let stepv = as_int (eval st mode frame step) in
+              store st cell (Vint (i + stepv));
+              iterations := (fuel0 - st.fuel) :: !iterations;
+              loop ()
+          | Break -> Normal
+          | Return v -> Return v
+        end
+        else Normal
+      in
+      let fl = loop () in
+      unbind frame index;
+      (* the first bound check already read [lo_v] as an int *)
+      p.kernel_loop <-
+        Some
+          {
+            lp_first = as_int lo_v;
+            lp_iterations = Array.of_list (List.rev !iterations);
+          };
+      fl
+  | s -> exec_stmt st mode frame s
 
 (** {1 Whole-program execution} *)
 
@@ -848,7 +973,7 @@ let first_wins pairs =
   List.iter (fun (k, v) -> if not (Hashtbl.mem h k) then Hashtbl.add h k v) pairs;
   h
 
-let init_state prog =
+let init_state ?profile prog =
   {
     cpu = new_heap ();
     mic = new_heap ();
@@ -874,6 +999,7 @@ let init_state prog =
       };
     events = [];
     shadows = Hashtbl.create 16;
+    profile;
   }
 
 (* Flattened final contents of one global's storage, for the outcome
@@ -892,10 +1018,12 @@ let snapshot_binding st (b : binding) =
           load st { b.cell with ofs = b.cell.ofs + k })
   | _ -> [ load st b.cell ]
 
-(** Run [main()].  [fuel] bounds the number of statements executed
-    (default 10 million). *)
-let run ?(fuel = 10_000_000) prog =
-  let st = init_state prog in
+let default_fuel = 10_000_000
+let new_profile fuel = { budget = fuel; details = []; kernel_loop = None }
+let details p = List.rev p.details
+
+let run_with ?profile ~fuel prog =
+  let st = init_state ?profile prog in
   st.fuel <- fuel;
   let mode = { space = Cpu } in
   try
@@ -931,6 +1059,15 @@ let run ?(fuel = 10_000_000) prog =
   with
   | Runtime_error msg -> Error msg
   | Out_of_fuel -> Error "out of fuel"
+
+(** Run [main()].  [fuel] bounds the number of statements executed
+    (default 10 million). *)
+let run ?(fuel = default_fuel) prog = run_with ~fuel prog
+
+(** {!run}, plus one detail per event of the outcome, in event order. *)
+let run_profiled ?(fuel = default_fuel) prog =
+  let p = new_profile fuel in
+  Result.map (fun o -> (o, details p)) (run_with ~profile:p ~fuel prog)
 
 (** Convenience: run and return printed output, raising on error. *)
 let run_output ?fuel prog =

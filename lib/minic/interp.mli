@@ -84,13 +84,55 @@ type engine = Reference | Compiled
 val engine_name : engine -> string
 val engine_of_string : string -> engine option
 
+val default_fuel : int
+(** 10 million: the fuel of a run that names none. *)
+
 val run : ?fuel:int -> Ast.program -> (outcome, string) result
 (** Run [main()] under the reference interpreter.  [fuel] bounds the
-    number of statements executed (default 10 million); exhaustion
+    number of statements executed (default {!default_fuel}); exhaustion
     reports ["out of fuel"]. *)
 
 val run_output : ?fuel:int -> Ast.program -> string
 (** Printed output of a run; raises [Invalid_argument] on any error. *)
+
+(** {1 Per-event profile}
+
+    An opt-in run that returns, beside its outcome, one [detail] per
+    event of the trace: how much fuel had been consumed when the event
+    was appended, the sections a transfer moved, and the loop a kernel
+    ran.  It is what {!Transforms.Streaming.retrace} derives other
+    block counts from.  The switch lives in the run's [state], not in a
+    global, so runs on pool domains are independent; an unprofiled run
+    allocates nothing for it, and pays a branch per event appended, per
+    transfer's section list and per kernel (at its launch here, at its
+    loop's entry in the compiled engine).
+    {!Compile_eval.run_profiled} records the same details, which the
+    engine-equivalence suite checks. *)
+
+type loop_profile = {
+  lp_first : int;  (** the loop's first index *)
+  lp_iterations : int array;
+      (** fuel of each completed iteration, in order: its bound check,
+          body and step.  The kernel's other fuel — its pragmas, the
+          loop entry and the final bound check — is the event's [work]
+          less their sum. *)
+}
+
+type detail = {
+  d_fuel : int;  (** fuel consumed when the event was appended *)
+  d_sections : (string * int) list;
+      (** [Ev_transfer]: each section's array name and the cells it
+          moved between the two heaps, in clause order (ins, inouts,
+          then outs); [[]] for other events *)
+  d_loop : loop_profile option;
+      (** [Ev_kernel] whose offload body is a [for] loop beneath any
+          number of [omp] pragmas: that loop; [None] otherwise *)
+}
+
+val run_profiled :
+  ?fuel:int -> Ast.program -> (outcome * detail list, string) result
+(** {!run}, plus the details of the outcome's events, in event order.
+    The outcome equals {!run}'s. *)
 
 (** {1 Runtime core, shared with {!Compile_eval}}
 
@@ -106,6 +148,20 @@ type heap = { mutable cells : value array; mutable next : int }
     closures; [next <= Array.length cells] is the allocator invariant
     that makes a range check against [next] sufficient. *)
 
+type profile = {
+  budget : int;  (** the run's fuel, so [d_fuel] counts consumption *)
+  mutable details : detail list;  (** reversed *)
+  mutable kernel_loop : loop_profile option;
+      (** the running kernel's loop, until its [Ev_kernel] takes it *)
+}
+(** A profiled run's recorder, in its [state]. *)
+
+val new_profile : int -> profile
+(** A recorder for a run with this much fuel. *)
+
+val details : profile -> detail list
+(** The details recorded so far, in event order. *)
+
 type state = {
   cpu : heap;
   mic : heap;
@@ -118,6 +174,7 @@ type state = {
   mutable events : event list;  (** reversed *)
   shadows : (int, addr) Hashtbl.t;
       (** CPU base offset -> MIC shadow buffer, reused across offloads *)
+  profile : profile option;  (** [Some] only in a profiled run *)
 }
 
 type binding = { cell : addr; vty : Ast.ty }
@@ -130,7 +187,7 @@ external format_float : string -> float -> string = "caml_format_float"
 (** The runtime primitive behind [Printf]'s [%g] — byte-identical
     output, without the format-interpreter overhead per print. *)
 
-val init_state : Ast.program -> state
+val init_state : ?profile:profile -> Ast.program -> state
 val alloc : state -> space -> int -> addr
 val load : state -> addr -> value
 val store : state -> addr -> value -> unit
@@ -141,6 +198,17 @@ val as_ptr : value -> addr
 val coerce : Ast.ty -> value -> value
 val burn : state -> unit
 (** Consume one unit of fuel; raises {!Out_of_fuel} at zero. *)
+
+val emit : state -> event -> (string * int) list -> unit
+(** Append an event to the trace; in a profiled run, with its detail,
+    given the transfer's sections ([[]] for other events).  A kernel's
+    detail takes the loop the kernel recorded into [kernel_loop]. *)
+
+val move_sections :
+  state -> name:('s -> string) -> ('s -> unit) -> 's list -> (string * int) list
+(** [move_sections st ~name move sections] applies [move] to each
+    section in order.  In a profiled run it returns each section's
+    [name] and the cells it moved between the heaps; otherwise [[]]. *)
 
 val sizeof : state -> Ast.ty -> int
 val copy_cells : state -> src:addr -> dst:addr -> int -> unit

@@ -642,27 +642,32 @@ let transform_with ~used ?(nblocks = 10) ?(memory = Full) prog region =
     | Double_buffered -> generate_double info
   in
   match Util.replace_region prog region ~replacement with
-  | Some prog' -> Ok prog'
+  | Some prog' -> Ok (prog', info)
   | None -> Error No_offload_spec
 
 (** Apply the streaming transformation to one region. *)
 let transform ?nblocks ?memory prog region =
-  transform_with ~used:(clash_candidates prog) ?nblocks ?memory prog region
+  Result.map fst
+    (transform_with ~used:(clash_candidates prog) ?nblocks ?memory prog region)
 
 (** Stream every offloaded region that passes the legality check.
-    Returns the rewritten program and the transformed region count.
-    The names the rewrites would capture are those of the input: a
-    region streamed earlier in the fold declares its names in its own
-    block, so it does not stop a later region from streaming. *)
+    Returns the rewritten program and the analysis of each region it
+    rewrote, in program order.  The names the rewrites would capture
+    are those of the input: a region streamed earlier in the fold
+    declares its names in its own block, so it does not stop a later
+    region from streaming. *)
 let transform_all ?(nblocks = 10) ?(memory = Full) prog =
   let used = clash_candidates prog in
   let regions = Analysis.Offload_regions.offloaded prog in
-  List.fold_left
-    (fun (prog, n) region ->
-      match transform_with ~used ~nblocks ~memory prog region with
-      | Ok prog' -> (prog', n + 1)
-      | Error _ -> (prog, n))
-    (prog, 0) regions
+  let prog, infos =
+    List.fold_left
+      (fun (prog, infos) region ->
+        match transform_with ~used ~nblocks ~memory prog region with
+        | Ok (prog', info) -> (prog', info :: infos)
+        | Error _ -> (prog, infos))
+      (prog, []) regions
+  in
+  (prog, List.rev infos)
 
 (** {1 Re-blocking}
 
@@ -678,3 +683,411 @@ let reblock ~nblocks prog =
     | s -> s
   in
   map_funcs (fun f -> { f with body = map_block set f.body }) prog
+
+(** {1 Re-tracing}
+
+    The lowerings at different block counts differ only in how each
+    streamed region cuts its iteration space, so one run at
+    {!retrace_nblocks} blocks, with {!Minic.Interp.run_profiled}'s
+    per-event profile, fixes the event trace of every other count.
+    Take one executed instance of a streamed region, with loop bounds
+    [lo], [hi] and [N = hi - lo >= 1] iterations, at [n] blocks:
+
+    - the block size is [bs = (N + n - 1) / n], as the rewrite computes
+      [bsize__]; block [b] runs iterations
+      [[lo + b*bs, min(hi, lo + (b+1)*bs))];
+    - block [b]'s kernel does [c0 + sum w(i)] work over its iterations,
+      where [w(i)] is iteration [i]'s fuel and [c0] the kernel's
+      pragmas, loop entry and final bound check: re-blocking leaves the
+      kernel's code alone, so neither depends on [n];
+    - a streamed array with coefficient [c] and offsets
+      [min_off <= max_off] moves [max(0, min(E, x) - min(E, y))] cells
+      in block [b], where [y = max(0, c*(lo + b*bs) + min_off)],
+      [x = c*min(hi, lo + (b+1)*bs) + max_off] and [E] is
+      [min(T, c*hi + max_off)] for the clause total [T]: the one
+      runtime value the slices need besides [lo] and [hi];
+    - the events are [T(inputs of block 0, signal 0)], then per block
+      [b]: [T(inputs of block b+1, signal b+1)] if [b+1 < n], [W b],
+      [K(work of block b)], and one [T(d2h)] per streamed output whose
+      slice is not empty;
+    - every block but the last does the same host work [beta] besides
+      its kernel (the last skips the prefetch), so the run's fuel is
+      [fuel(4) + (n - 4) * (beta + c0)] summed over the instances.
+
+    Every event outside the instances is the same at every count. *)
+
+let retrace_nblocks = 4
+
+type refusal =
+  | Run_failed of string
+  | Ambiguous_region of string list
+  | Unrecognised of string
+  | Empty_iterations
+  | Unobservable_end of string
+  | Fuel_exhausted of int
+
+let refusal_name = function
+  | Run_failed _ -> "run_failed"
+  | Ambiguous_region _ -> "ambiguous"
+  | Unrecognised _ -> "unrecognised"
+  | Empty_iterations -> "empty"
+  | Unobservable_end _ -> "unobservable_end"
+  | Fuel_exhausted _ -> "fuel"
+
+let pp_refusal fmt = function
+  | Run_failed e ->
+      Format.fprintf fmt "the run at %d blocks failed: %s" retrace_nblocks e
+  | Ambiguous_region names ->
+      Format.fprintf fmt
+        "two streamed regions stream the inputs %s, sliced differently"
+        (String.concat ", " names)
+  | Unrecognised what ->
+      Format.fprintf fmt "a streamed instance does not follow the pattern: %s"
+        what
+  | Empty_iterations ->
+      Format.fprintf fmt "a streamed instance has no iterations"
+  | Unobservable_end a ->
+      Format.fprintf fmt "the end of array %s's slices cannot be observed" a
+  | Fuel_exhausted n ->
+      Format.fprintf fmt "the run at %d blocks would run out of fuel" n
+
+type retraced = {
+  rt_nblocks : int;
+  rt_events : Minic.Interp.event list;
+  rt_work : int;
+}
+
+exception Refused of refusal
+
+let unrecognised fmt =
+  Printf.ksprintf (fun what -> raise (Refused (Unrecognised what))) fmt
+
+(* a region's streamed arrays, in the clause order of its transfers *)
+type shape = {
+  inputs : arr_info list;
+  outputs : arr_info list;
+  input_names : string list;
+}
+
+let shape_of (i : info) =
+  let inputs = List.filter (fun a -> streamed a && is_input a) i.arrays in
+  {
+    inputs;
+    outputs = List.filter (fun a -> streamed a && is_output a) i.arrays;
+    input_names = List.map (fun a -> a.name) inputs;
+  }
+
+(* two regions slice alike when they stream the same arrays, with the
+   same coefficients and offsets: an instance of either derives the
+   same way *)
+let same_slicing a b =
+  String.equal a.name b.name && a.coeff = b.coeff && a.min_off = b.min_off
+  && a.max_off = b.max_off
+
+let same_shape s t =
+  List.equal same_slicing s.inputs t.inputs
+  && List.equal same_slicing s.outputs t.outputs
+
+(* the device buffers an output's slice is copied back from, in either
+   layout and at either parity *)
+let device_names a =
+  [
+    Util.mic_name a.name;
+    Util.mic_name_n a.name 1;
+    Util.mic_name_n a.name 2;
+    out_buffer_name a.name;
+  ]
+
+(* does the loop assign its own index, or take its address?  Its blocks
+   would then not run the iterations their bounds name *)
+let writes_index (fl : for_loop) =
+  let is_index = function Var v -> String.equal v fl.index | _ -> false in
+  let addresses_index acc e =
+    acc || match e with Addr e -> is_index e | _ -> false
+  in
+  fold_stmts
+    (fun acc s ->
+      acc
+      || (match s with Sassign (lv, _) -> is_index lv | _ -> false)
+      || List.fold_left (fold_expr addresses_index) false (stmt_exprs s))
+    false fl.body
+
+(* One executed instance, as the profiled run saw it *)
+type instance = {
+  shape : shape;
+  lo : int;
+  iterations : int;
+  prefix : int array;  (** [prefix.(k)]: fuel of the first [k] iterations *)
+  c0 : int;
+  beta : int;
+  input_ends : int list;  (** [E] per input *)
+  output_ends : int list;  (** [E] per output *)
+}
+
+let block_size ~iterations n = (iterations + n - 1) / n
+
+(* where array [a]'s slice in block [b] starts, and where it would end
+   were the clause long enough: [(y, x)] *)
+let slice_bounds a ~lo ~hi ~bs b =
+  ( max 0 ((a.coeff * (lo + (b * bs))) + a.min_off),
+    (a.coeff * min hi (lo + ((b + 1) * bs))) + a.max_off )
+
+(* cells array [a] moves in block [b], for slices ending at [e] *)
+let slice_cells a ~lo ~hi ~bs e b =
+  let y, x = slice_bounds a ~lo ~hi ~bs b in
+  max 0 (min e x - min e y)
+
+(* [E] for array [a], from the cells each of the profiled blocks moved:
+   a block that moved cells ends its slice at [min(E, x)], one that
+   moved none starts it at or past [E].  [None] when that leaves [E]
+   open and some count's slices would depend on it. *)
+let slice_end a ~lo ~hi ~bs cells =
+  let e_lo = ref min_int and e_hi = ref ((a.coeff * hi) + a.max_off) in
+  Array.iteri
+    (fun b moved ->
+      let y, x = slice_bounds a ~lo ~hi ~bs b in
+      if moved > 0 then begin
+        let stop = y + moved in
+        if stop < x then begin
+          e_lo := max !e_lo stop;
+          e_hi := min !e_hi stop
+        end
+        else if stop = x then e_lo := max !e_lo x
+        else e_lo := max_int
+      end
+      else if x > y then e_hi := min !e_hi y)
+    cells;
+  if !e_lo > !e_hi then None
+  else if !e_lo = !e_hi then Some !e_lo
+  else if !e_hi <= max 0 ((a.coeff * lo) + a.min_off) then
+    (* every slice of every count starts at or past [E]: all empty *)
+    Some !e_hi
+  else None
+
+(* The instance whose signal-0 transfer is event [i]: returns it and
+   the index of the first event after it. *)
+let observe shape (evs : Minic.Interp.event array)
+    (dets : Minic.Interp.detail array) i =
+  let open Minic.Interp in
+  let nb = retrace_nblocks in
+  let pos = ref i in
+  let next what =
+    if !pos >= Array.length evs then unrecognised "the trace ends in %s" what;
+    let k = !pos in
+    incr pos;
+    (evs.(k), dets.(k))
+  in
+  let in_cells = Array.make_matrix (List.length shape.inputs) nb 0 in
+  let out_cells = Array.make_matrix (List.length shape.outputs) nb 0 in
+  (* per block: kernel work, fuel when it was appended, and its loop *)
+  let work = Array.make nb 0 and fuel_at = Array.make nb 0 in
+  let loop = Array.make nb { lp_first = 0; lp_iterations = [||] } in
+  let take_inputs b =
+    match next "a prefetch" with
+    | Ev_transfer { d2h_cells = 0; signal = Some s; _ }, d
+      when s = b && List.map fst d.d_sections = shape.input_names ->
+        List.iteri (fun k (_, cells) -> in_cells.(k).(b) <- cells) d.d_sections
+    | _ -> unrecognised "block %d's inputs" b
+  in
+  take_inputs 0;
+  for b = 0 to nb - 1 do
+    if b + 1 < nb then take_inputs (b + 1);
+    (match next "a wait" with
+    | Ev_wait w, _ when w = b -> ()
+    | _ -> unrecognised "block %d's wait" b);
+    (match next "a kernel" with
+    | Ev_kernel { work = w; wait = None }, { d_loop = Some l; d_fuel; _ } ->
+        work.(b) <- w;
+        fuel_at.(b) <- d_fuel;
+        loop.(b) <- l
+    | _ -> unrecognised "block %d's kernel" b);
+    List.iteri
+      (fun k a ->
+        if !pos < Array.length evs then
+          match (evs.(!pos), dets.(!pos)) with
+          | ( Ev_transfer { h2d_cells = 0; d2h_cells; signal = None },
+              { d_sections = [ (buffer, cells) ]; _ } )
+            when cells = d2h_cells && List.mem buffer (device_names a) ->
+              out_cells.(k).(b) <- cells;
+              incr pos
+          | _ -> ())
+      shape.outputs
+  done;
+  let ws = Array.concat (Array.to_list (Array.map (fun l -> l.lp_iterations) loop)) in
+  let iterations = Array.length ws in
+  if iterations = 0 then raise (Refused Empty_iterations);
+  let lo = loop.(0).lp_first in
+  let hi = lo + iterations in
+  let bs = block_size ~iterations nb in
+  let prefix = Array.make (iterations + 1) 0 in
+  Array.iteri (fun k w -> prefix.(k + 1) <- prefix.(k) + w) ws;
+  let c0s =
+    List.init nb (fun b ->
+        let l = loop.(b) and start = lo + (b * bs) in
+        if
+          l.lp_first <> start
+          || Array.length l.lp_iterations <> max 0 (min hi (start + bs) - start)
+        then unrecognised "block %d runs other iterations than its bounds name" b;
+        work.(b) - Array.fold_left ( + ) 0 l.lp_iterations)
+  in
+  let c0 = List.hd c0s in
+  if List.exists (( <> ) c0) c0s then
+    unrecognised "the kernel's fixed work differs between blocks";
+  (* the host work between two kernels, less the second: blocks 1 and 2
+     both prefetch, and their parities differ *)
+  let host b = fuel_at.(b) - fuel_at.(b - 1) - work.(b) in
+  let beta = host 1 in
+  if host 2 <> beta then
+    unrecognised "the host work differs between blocks";
+  let ends arrays cells =
+    List.mapi
+      (fun k a ->
+        match slice_end a ~lo ~hi ~bs cells.(k) with
+        | Some e -> e
+        | None -> raise (Refused (Unobservable_end a.name)))
+      arrays
+  in
+  ( {
+      shape;
+      lo;
+      iterations;
+      prefix;
+      c0;
+      beta;
+      input_ends = ends shape.inputs in_cells;
+      output_ends = ends shape.outputs out_cells;
+    },
+    !pos )
+
+(* the events of [inst] at [n] blocks, in front of [tail] *)
+let instance_events inst n tail =
+  let open Minic.Interp in
+  let bs = block_size ~iterations:inst.iterations n in
+  let lo = inst.lo and hi = inst.lo + inst.iterations in
+  let cells a e b = slice_cells a ~lo ~hi ~bs e b in
+  let inputs b =
+    List.fold_left2
+      (fun acc a e -> acc + cells a e b)
+      0 inst.shape.inputs inst.input_ends
+  in
+  let work b =
+    let upto k = inst.prefix.(min inst.iterations k) in
+    inst.c0 + upto ((b + 1) * bs) - upto (b * bs)
+  in
+  (* built back to front *)
+  let rec block b acc =
+    if b < 0 then
+      Ev_transfer { h2d_cells = inputs 0; d2h_cells = 0; signal = Some 0 }
+      :: acc
+    else
+      let acc =
+        List.fold_right2
+          (fun a e acc ->
+            match cells a e b with
+            | 0 -> acc
+            | d2h_cells ->
+                Ev_transfer { h2d_cells = 0; d2h_cells; signal = None } :: acc)
+          inst.shape.outputs inst.output_ends acc
+      in
+      let acc = Ev_wait b :: Ev_kernel { work = work b; wait = None } :: acc in
+      let acc =
+        if b + 1 < n then
+          Ev_transfer
+            { h2d_cells = inputs (b + 1); d2h_cells = 0; signal = Some (b + 1) }
+          :: acc
+        else acc
+      in
+      block (b - 1) acc
+  in
+  block (n - 1) tail
+
+type segment = Verbatim of Minic.Interp.event list | Instance of instance
+
+(* the trace at [n] blocks: verbatim stretches around each instance's
+   [n]-block events; the stretch after the last instance is shared *)
+let trace_at segments n =
+  List.fold_right
+    (fun seg acc ->
+      match seg with
+      | Verbatim evs -> ( match acc with [] -> evs | _ -> evs @ acc)
+      | Instance inst -> instance_events inst n acc)
+    segments []
+
+(* The distinct shapes of the regions, after the refusals the regions
+   alone decide: an instance is told by its inputs, so two shapes with
+   the same inputs but other slicing are ambiguous. *)
+let shapes_of infos =
+  List.iter
+    (fun (i : info) ->
+      if writes_index i.region.loop then
+        unrecognised "the loop over %s writes its index" i.region.loop.index)
+    infos;
+  List.fold_left
+    (fun shapes (i : info) ->
+      let s = shape_of i in
+      if List.exists (same_shape s) shapes then shapes
+      else if List.exists (fun t -> t.input_names = s.input_names) shapes then
+        raise (Refused (Ambiguous_region s.input_names))
+      else s :: shapes)
+    [] infos
+
+let derive_exn ~fuel infos (outcome : Minic.Interp.outcome) details ~nblocks =
+  let shapes = shapes_of infos in
+  let evs = Array.of_list outcome.events and dets = Array.of_list details in
+  if Array.length dets <> Array.length evs then
+    invalid_arg "Streaming.derive: one detail per event";
+  let verbatim start stop =
+    Verbatim (Array.to_list (Array.sub evs start (stop - start)))
+  in
+  (* split the trace at each instance's signal-0 transfer *)
+  let rec split start i acc =
+    if i >= Array.length evs then List.rev (verbatim start i :: acc)
+    else
+      match evs.(i) with
+      | Minic.Interp.Ev_transfer { signal = Some 0; _ } -> (
+          let names = List.map fst dets.(i).Minic.Interp.d_sections in
+          match List.find_opt (fun s -> s.input_names = names) shapes with
+          | Some shape ->
+              let inst, stop = observe shape evs dets i in
+              split stop stop (Instance inst :: verbatim start i :: acc)
+          | None -> split start (i + 1) acc)
+      | _ -> split start (i + 1) acc
+  in
+  let segments = split 0 0 [] in
+  let per_block =
+    List.fold_left
+      (fun acc -> function
+        | Instance i -> acc + i.beta + i.c0 | Verbatim _ -> acc)
+      0 segments
+  in
+  let work n = outcome.work + ((n - retrace_nblocks) * per_block) in
+  (* self-check: the model reproduces the profiled run *)
+  if trace_at segments retrace_nblocks <> outcome.events then
+    unrecognised "the %d-block events are not reproduced" retrace_nblocks;
+  List.iter
+    (fun n ->
+      if n < 1 then invalid_arg "Streaming.derive: a count below 1";
+      if work n >= fuel then raise (Refused (Fuel_exhausted n)))
+    nblocks;
+  List.map
+    (fun n ->
+      {
+        rt_nblocks = n;
+        rt_events =
+          (if n = retrace_nblocks then outcome.events else trace_at segments n);
+        rt_work = work n;
+      })
+    nblocks
+
+let derive ?(fuel = Minic.Interp.default_fuel) infos outcome details ~nblocks =
+  match derive_exn ~fuel infos outcome details ~nblocks with
+  | traces -> Ok traces
+  | exception Refused r -> Error r
+
+let retrace ?(fuel = Minic.Interp.default_fuel) infos lowered ~nblocks =
+  match
+    Minic.Compile_eval.run_profiled ~fuel
+      (reblock ~nblocks:retrace_nblocks lowered)
+  with
+  | Error e -> Error (Run_failed e)
+  | Ok (outcome, details) -> derive ~fuel infos outcome details ~nblocks

@@ -282,11 +282,19 @@ let search ?jobs ?obs ?cache ?(cache_prefix = "") ?(mode = Auto)
     Preparing a workload lowers it once, at {!Comp.default_nblocks}.
     Data streaming is the only pass that reads the block count, so
     when no streaming site applied, every candidate count shares that
-    one program.  Otherwise every other candidate's program is that
-    lowering re-blocked ({!Transforms.Streaming.reblock}), which
-    differs from it in the block count alone.  Each distinct program
-    is interpreted once for its event trace, and the search gets an
-    [eval]/[keyfn] pair over those traces. *)
+    one program, and it runs once.  Otherwise every other candidate's
+    program is that lowering re-blocked
+    ({!Transforms.Streaming.reblock}), which differs from it in how
+    each streamed region cuts its loop into blocks: one profiled run
+    of the 4-block lowering fixes every candidate's trace by
+    arithmetic ({!Transforms.Streaming.retrace}).  Where the
+    derivation refuses, every candidate runs, as before.  The search
+    gets an [eval]/[keyfn] pair over those traces.
+
+    Counters: [tune.traces.executed] and [tune.traces.derived] count
+    the traces a preparation ran and derived;
+    [tune.retrace.refused.<reason>] counts refusals by
+    {!Transforms.Streaming.refusal_name}. *)
 
 (* the machine parameters a trace's replay cost depends on — part of
    every cross-search cache key.  [%h] prints a float's exact bits,
@@ -369,13 +377,35 @@ let seed_nblocks ?obs ?block_cache (cfg : Config.t) sp events =
 let prepare_program ?(base = Config.paper_default) ?nblocks ?obs ?block_cache
     ~max_devices ~max_streams ~name prog : (prepared, string) result =
   let sp = space ?nblocks ~max_devices ~max_streams () in
+  let bump ?(by = 1) name =
+    match obs with None -> () | Some o -> Obs.incr ~by o name
+  in
   let trace p =
+    bump "tune.traces.executed";
     Result.map
       (fun (o : Minic.Interp.outcome) -> o.events)
       (Minic.Compile_eval.run_compiled p)
   in
   let default_prog, applied =
     Comp.optimize ~nblocks:Comp.default_nblocks prog
+  in
+  let by_candidate = List.mapi (fun i nb -> (nb, i)) sp.sp_nblocks in
+  (* each candidate is the lowering re-blocked, so no two coincide:
+     trace each once, in candidate order; the first runtime error ends
+     the preparation *)
+  let execute_all () =
+    let rec go traces = function
+      | [] -> Ok (List.rev traces, by_candidate)
+      | nb :: rest -> (
+          let p =
+            if nb = Comp.default_nblocks then default_prog
+            else Transforms.Streaming.reblock ~nblocks:nb default_prog
+          in
+          match trace p with
+          | Error e -> Error e
+          | Ok events -> go (events :: traces) rest)
+    in
+    go [] sp.sp_nblocks
   in
   let traced =
     if applied.Comp.streamed = 0 then
@@ -385,21 +415,29 @@ let prepare_program ?(base = Config.paper_default) ?nblocks ?obs ?block_cache
         (fun events -> ([ events ], List.map (fun nb -> (nb, 0)) sp.sp_nblocks))
         (trace default_prog)
     else
-      (* each candidate is the lowering re-blocked, so no two coincide:
-         trace each once, in candidate order; the first runtime error
-         ends the preparation *)
-      let rec go traces i = function
-        | [] -> Ok (List.rev traces, List.mapi (fun i nb -> (nb, i)) sp.sp_nblocks)
-        | nb :: rest -> (
-            let p =
-              if nb = Comp.default_nblocks then default_prog
-              else Transforms.Streaming.reblock ~nblocks:nb default_prog
-            in
-            match trace p with
-            | Error e -> Error e
-            | Ok events -> go (events :: traces) (i + 1) rest)
-      in
-      go [] 0 sp.sp_nblocks
+      match
+        Transforms.Streaming.retrace applied.Comp.streamed_regions default_prog
+          ~nblocks:sp.sp_nblocks
+      with
+      | Ok retraced ->
+          let derived =
+            List.length
+              (List.filter
+                 (fun (r : Transforms.Streaming.retraced) ->
+                   r.rt_nblocks <> Transforms.Streaming.retrace_nblocks)
+                 retraced)
+          in
+          bump "tune.traces.executed";
+          bump ~by:derived "tune.traces.derived";
+          Ok
+            ( List.map
+                (fun (r : Transforms.Streaming.retraced) -> r.rt_events)
+                retraced,
+              by_candidate )
+      | Error r ->
+          bump
+            ("tune.retrace.refused." ^ Transforms.Streaming.refusal_name r);
+          execute_all ()
   in
   Result.map
     (fun (traces, trace_of_nblocks) ->

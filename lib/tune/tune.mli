@@ -127,14 +127,24 @@ val prepare_program :
 (** Lower the program once, at {!Comp.default_nblocks}.  If no data
     streaming site applied, every candidate block count maps to that
     one program, because streaming is the only pass that reads the
-    count.  Otherwise each other candidate's program is that lowering
-    re-blocked with {!Transforms.Streaming.reblock}, which equals
-    lowering it at that count; the candidates are distinct, so trace
-    [i] is candidate [i].  Interpret each distinct program once for its
-    trace, and derive the analytic block-count seed (via the memoized
-    {!Transforms.Block_size.Cache}).  [Error msg] is the interpreter's
-    runtime error for the first candidate, in block-count order, whose
-    program fails. *)
+    count, and it runs once.  Otherwise each other candidate's program
+    is that lowering re-blocked with {!Transforms.Streaming.reblock},
+    which equals lowering it at that count; the candidates are
+    distinct, so trace [i] is candidate [i].  Their traces come from
+    one profiled run of the lowering re-blocked at
+    {!Transforms.Streaming.retrace_nblocks}, which
+    {!Transforms.Streaming.retrace} derives every candidate's trace
+    from, equal to running it.  Where the derivation refuses, each
+    candidate runs, in block-count order.  Either way the result is
+    the same, and the analytic block-count seed comes from the default
+    trace (via the memoized {!Transforms.Block_size.Cache}).
+    [Error msg] is the interpreter's runtime error for the first
+    candidate, in block-count order, whose program fails.
+
+    With [obs]: [tune.traces.executed] and [tune.traces.derived]
+    count the candidate traces run and derived;
+    [tune.retrace.refused.<reason>] counts a refusal, by
+    {!Transforms.Streaming.refusal_name}. *)
 
 val prepare :
   ?base:Machine.Config.t ->

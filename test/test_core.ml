@@ -40,4 +40,5 @@ let () =
       ("experiments", Test_experiments.suite);
       ("serve", Test_serve.suite);
       ("tune", Test_tune.suite);
+      ("retrace", Test_retrace.suite);
     ]

@@ -95,6 +95,72 @@ let workload_cases =
           agree name (Workloads.Workload.program w)))
     Workloads.Registry.all
 
+(* The per-event profile: both engines record the same details beside
+   the same outcome, and profiling changes no outcome.  Each program
+   runs as written (offload clauses), through the pipeline with
+   residency (nocopy, resident events), and as the 4-block lowering
+   the re-tracer profiles (the streamed pattern). *)
+let profile_agree ?fuel name prog =
+  let plain = CE.run_compiled ?fuel prog in
+  match (I.run_profiled ?fuel prog, CE.run_profiled ?fuel prog) with
+  | Ok (ro, rd), Ok (co, cd) ->
+      (match outcome_mismatch ro co with
+      | None -> ()
+      | Some why -> Alcotest.failf "%s: profiled engines disagree: %s" name why);
+      (match plain with
+      | Ok po when outcome_mismatch po co = None -> ()
+      | _ -> Alcotest.failf "%s: profiling changed the outcome" name);
+      if List.length rd <> List.length ro.events then
+        Alcotest.failf "%s: %d details for %d events" name (List.length rd)
+          (List.length ro.events);
+      if rd <> cd then Alcotest.failf "%s: the engines' details differ" name;
+      rd
+  | Error re, Error ce ->
+      Alcotest.(check string) (name ^ ": same error") re ce;
+      (match plain with
+      | Error pe -> Alcotest.(check string) (name ^ ": unprofiled error") pe ce
+      | Ok _ -> Alcotest.failf "%s: profiling made the run fail" name);
+      []
+  | Ok _, Error ce ->
+      Alcotest.failf "%s: reference ok, compiled failed: %s" name ce
+  | Error re, Ok _ ->
+      Alcotest.failf "%s: reference failed (%s), compiled ok" name re
+
+let test_profile_parity () =
+  let loops = ref 0 and sections = ref 0 in
+  let check name prog =
+    let variants =
+      [
+        (name, prog);
+        (name ^ " residency", fst (Comp.optimize ~residency:true prog));
+        ( name ^ " at 4 blocks",
+          Transforms.Streaming.reblock ~nblocks:4 (fst (Comp.optimize prog)) );
+      ]
+    in
+    List.iter
+      (fun (name, prog) ->
+        List.iter
+          (fun (d : I.detail) ->
+            if Option.is_some d.d_loop then incr loops;
+            if d.d_sections <> [] then incr sections)
+          (profile_agree name prog))
+      variants
+  in
+  List.iter
+    (fun pat ->
+      List.iter
+        (fun seed ->
+          check
+            (Printf.sprintf "%s/seed=%d" (Check.Genprog.pattern_name pat) seed)
+            (parse (Check.Genprog.generate pat ~seed)))
+        gen_seeds)
+    Check.Genprog.all_patterns;
+  List.iter
+    (fun w -> check w.Workloads.Workload.name (Workloads.Workload.program w))
+    Workloads.Registry.all;
+  Alcotest.(check bool) "kernel loops recorded" true (!loops > 100);
+  Alcotest.(check bool) "transfer sections recorded" true (!sections > 100)
+
 (* Error paths: every message must be byte-identical and raised at the
    same point.  The two cases the issue pins by name come first. *)
 let error_sources =
@@ -219,6 +285,13 @@ let fuel_parity_src =
 let suite =
   generated_cases @ transformed_cases @ workload_cases @ error_cases
   @ [
+      tc "profiled runs agree, detail for detail" test_profile_parity;
+      tc "profiled error parity" (fun () ->
+          (* a smaller budget: the infinite loop need not burn 10M *)
+          List.iter
+            (fun (name, src) ->
+              ignore (profile_agree ~fuel:100_000 name (parse src)))
+            error_sources);
       tc "timeout fuel parity, one unit at a time" (fun () ->
           let prog = parse fuel_parity_src in
           for fuel = 2 to 150 do

@@ -140,6 +140,62 @@ let suite =
                 QCheck.Test.fail_reportf "printed spec %S rejected: %s"
                   printed (Fault.error_message e)
             | Ok spec' -> spec = spec'));
+    prop "specs with long mantissas and extreme exponents print exactly"
+      ~count:300
+      (QCheck.make
+         ~print:(fun s -> Fault.to_string s)
+         QCheck.Gen.(
+           (* a full 53-bit mantissa, and exponents from subnormal to
+              near overflow (probabilities stay at or below 1) *)
+           let mantissa = float_range 0.5 1.0 in
+           let scaled lo hi = map2 Float.ldexp mantissa (int_range lo hi) in
+           let secs = oneof [ float_bound_exclusive 1.0; scaled (-1070) 1020 ] in
+           let prob =
+             map
+               (fun p -> if p > 0. then p else 0.5)
+               (oneof [ float_bound_exclusive 1.0; scaled (-1070) 0 ])
+           in
+           let* seed = int_range 0 99 in
+           let* xfer_prob = oneof [ return 0.; prob ] in
+           let* delay_signals = list_size (int_range 0 2) (pair (int_range 0 9) secs) in
+           let* reset_at = opt secs in
+           let* myo_stall_prob, myo_stall_s =
+             oneof [ return (0., 0.); pair prob secs ]
+           in
+           let* backoff_base_s = secs and* backoff_ceiling_s = secs in
+           let* wait_timeout_s = secs and* fallback_slowdown = secs in
+           let* reset_recovery_s = secs in
+           let* devs =
+             oneof
+               [
+                 return [];
+                 map2
+                   (fun xfer_prob reset_at ->
+                     [ (1, { Fault.none with xfer_prob; reset_at }) ])
+                   prob (opt secs);
+               ]
+           in
+           return
+             {
+               Fault.none with
+               seed;
+               xfer_prob;
+               delay_signals;
+               reset_at;
+               myo_stall_prob;
+               myo_stall_s;
+               policy =
+                 {
+                   Fault.default_policy with
+                   backoff_base_s;
+                   backoff_ceiling_s;
+                   wait_timeout_s;
+                   fallback_slowdown;
+                   reset_recovery_s;
+                 };
+               devs;
+             }))
+      (fun spec -> Fault.parse (Fault.to_string spec) = Ok spec);
     tc "devN: clauses refine only their device" (fun () ->
         let spec = parse_ok "seed=3,xfer@1,dev1:kill@0,dev2:xfer=0.5" in
         Alcotest.(check int) "devices mentioned" 3

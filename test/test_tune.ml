@@ -571,9 +571,10 @@ let test_makespan_parity () =
 
 (* The preparation [Tune.prepare_program] replaced, kept as its
    reference: optimize and pretty-print at every candidate count,
-   dedupe on the printed text, trace each distinct program once (the
-   first runtime error, in candidate order, ends it), and seed the
-   hill search from the default trace's most expensive block. *)
+   dedupe on the printed text, execute each distinct program once for
+   its trace (the first runtime error, in candidate order, ends it),
+   and seed the hill search from the default trace's most expensive
+   block.  A streamed program runs at every count. *)
 let reference_prepare ~base prog =
   let sp = Tune.space ~max_devices:1 ~max_streams:1 () in
   let texts = Hashtbl.create 16 in
@@ -701,13 +702,50 @@ let test_prepare_parity () =
   Alcotest.(check bool) "some programs do not" true (!single > 0);
   Alcotest.(check int) "failing programs" 1 !failed
 
+(* The benchmark's 24 cases (12 workloads on its two fleets): the
+   prepared record equals the execute-every-count reference's, whether
+   the workload's traces were derived (blackscholes, kmeans and nn) or
+   its one program ran *)
+let test_prepare_bench_cases () =
+  let derived = ref 0 in
+  List.iter
+    (fun spec ->
+      let fleet = fleet_ok spec in
+      let base = Config.with_scales Config.paper_default fleet.Fleet.f_scales in
+      List.iter
+        (fun (w : Workloads.Workload.t) ->
+          let name = w.Workloads.Workload.name ^ " on " ^ spec in
+          let obs = Obs.create () in
+          let pre =
+            Tune.prepare ~base ~obs ~max_devices:fleet.Fleet.f_devices
+              ~max_streams:fleet.Fleet.f_streams w
+          in
+          derived := !derived + Obs.count obs "tune.traces.derived";
+          match reference_prepare ~base (Workloads.Workload.program w) with
+          | Error e -> Alcotest.failf "%s: the reference fails: %s" name e
+          | Ok (traces, map, seed) ->
+              Alcotest.(check (list (pair int int)))
+                (name ^ ": trace of nblocks") map pre.Tune.p_trace_of_nblocks;
+              Alcotest.(check int) (name ^ ": seed") seed pre.Tune.p_seed_nblocks;
+              if traces <> pre.Tune.p_traces then
+                Alcotest.failf "%s: traces differ from the reference" name;
+              if
+                pre.Tune.p_space
+                <> Tune.space ~max_devices:fleet.Fleet.f_devices
+                     ~max_streams:fleet.Fleet.f_streams ()
+              then Alcotest.failf "%s: space differs" name)
+        Workloads.Registry.all)
+    bench_fleets;
+  (* three streamed workloads, two fleets, ten derived counts each *)
+  Alcotest.(check int) "derived traces" (3 * 2 * 10) !derived
+
 (* ------------------------------------------------------------------ *)
 (* Parity: Streaming.reblock against lowering at the count            *)
 (* ------------------------------------------------------------------ *)
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
-let corpus_programs () =
+let corpus_programs ?(dirs = [ "corpus"; "corpus/regressions" ]) () =
   List.concat_map
     (fun dir ->
       Sys.readdir dir |> Array.to_list |> List.sort compare
@@ -716,7 +754,7 @@ let corpus_programs () =
                let path = Filename.concat dir f in
                Some (path, parse (read path))
              else None))
-    [ "corpus"; "corpus/regressions" ]
+    dirs
 
 (* [reblock ~nblocks:n] of the lowering at every count [m] is the
    lowering at [n]; returns the streamed region count (0 when the
@@ -1062,6 +1100,8 @@ let suite =
     tc "makespan equals schedule's, bit for bit, with equal counters"
       test_makespan_parity;
     tc "prepare equals the optimize-and-print reference" test_prepare_parity;
+    tc "prepare equals the reference on the benchmark's 24 cases"
+      test_prepare_bench_cases;
     tc "reblock equals lowering at the count, in both layouts"
       test_reblock_identity;
     prop "search equals its string-keyed reference" ~count:200
