@@ -1,20 +1,21 @@
-(** Benchmark harness.
+(** Benchmark harness on the simulated clock.
 
     Running this executable regenerates every table and figure of the
-    paper's evaluation section (Section VI) from the simulator, prints
-    the ablation studies DESIGN.md calls out, and finishes with
-    bechamel microbenchmarks of the compiler itself (one [Test.make]
-    per component).
+    paper's evaluation section (Section VI) from the simulator, then
+    prints the ablation studies DESIGN.md calls out, the per-workload
+    observability profiles and the sensitivity sweeps.  Host-clock
+    timing of the compiler itself lives in [benchmark/].
 
     Usage: [dune exec bench/main.exe] (everything), or pass experiment
     names ([fig1 fig4 table2 fig10 fig11 fig12 fig13 fig14 fig15
-    table3 ablations profile faults check selfperf micro]).
+    table3 sensitivity ablations profile faults check residency degrade
+    tune]).
 
-    The sweep modes ([profile], [faults], [check], [selfperf]) run
-    their independent per-workload / per-fault-point tasks on a domain
-    pool ([--jobs N], [COMP_JOBS], default
-    [Domain.recommended_domain_count]).  Each task writes into a
-    private buffer and a private {!Obs.t} sink; buffers are printed
+    The sweep modes ([profile], [faults], [check], [residency],
+    [degrade], [tune]) run their independent per-workload /
+    per-fault-point tasks on a domain pool ([--jobs N], [COMP_JOBS],
+    default [Domain.recommended_domain_count]).  Each task writes into
+    a private buffer and a private {!Obs.t} sink; buffers are printed
     and sinks merged in submission order, so stdout and JSON are
     byte-identical at any [--jobs]. *)
 
@@ -364,82 +365,6 @@ let faults_mode () =
       Printf.printf "json: %s\n" (Obs.Json.to_string json))
     fault_workloads
 
-(* {1 Bechamel microbenchmarks of the compiler itself} *)
-
-let micro () =
-  let open Bechamel in
-  let source = (Workloads.Registry.find_exn "blackscholes").source in
-  let prog = Minic.Parser.program_of_string_exn source in
-  let region = List.hd (Analysis.Offload_regions.offloaded prog) in
-  let shape = (Workloads.Registry.find_exn "blackscholes").shape in
-  let img, objs =
-    let t = Runtime.Segbuf.create ~seg_cells:256 () in
-    let objs =
-      Array.init 512 (fun i ->
-          let p = Runtime.Segbuf.alloc t 4 in
-          Runtime.Segbuf.set t p 0 i;
-          p)
-    in
-    (Runtime.Segbuf.Image.of_segbuf t, objs)
-  in
-  let tests =
-    [
-      Test.make ~name:"parse blackscholes kernel"
-        (Staged.stage (fun () ->
-             ignore (Minic.Parser.program_of_string_exn source)));
-      Test.make ~name:"typecheck blackscholes kernel"
-        (Staged.stage (fun () ->
-             ignore (Minic.Typecheck.check_program prog)));
-      Test.make ~name:"streaming transform"
-        (Staged.stage (fun () ->
-             ignore (Transforms.Streaming.transform ~nblocks:10 prog region)));
-      Test.make ~name:"full optimize pipeline"
-        (Staged.stage (fun () -> ignore (Comp.optimize prog)));
-      Test.make ~name:"pretty-print program"
-        (Staged.stage (fun () ->
-             ignore (Minic.Pretty.program_to_string prog)));
-      Test.make ~name:"schedule streamed plan (20 blocks)"
-        (Staged.stage (fun () ->
-             ignore
-               (Runtime.Schedule_gen.region_time cfg shape
-                  (Runtime.Plan.streamed ~nblocks:20 ()))));
-      Test.make ~name:"xptr delta translation (512 ptrs)"
-        (Staged.stage (fun () ->
-             Array.iter
-               (fun p ->
-                 ignore
-                   (Runtime.Xptr.translate img.Runtime.Segbuf.Image.delta p))
-               objs));
-      Test.make ~name:"xptr scan translation (512 ptrs)"
-        (Staged.stage (fun () ->
-             Array.iter
-               (fun p ->
-                 ignore
-                   (Runtime.Xptr.translate_by_scan
-                      img.Runtime.Segbuf.Image.bounds p))
-               objs));
-    ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let bcfg =
-      Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~stabilize:false ()
-    in
-    let raw = Benchmark.run bcfg [ instance ] test in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let est = Analyze.one ols instance raw in
-    match Analyze.OLS.estimates est with Some [ t ] -> t | _ -> nan
-  in
-  Printf.printf "\n== Microbenchmarks (bechamel, ns/run) ==\n";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun (name, ns) -> Printf.printf "  %-40s %12.1f ns\n" name ns)
-        (List.map (fun b -> (Test.Elt.name b, benchmark b)) (Test.elements test)))
-    tests
-
 (* Differential + metamorphic validation sweep over the whole workload
    registry: every transform on every workload's kernel model must be
    observationally equivalent (or inapplicable), and every (shape,
@@ -552,8 +477,8 @@ let check_mode () =
   end
   else Printf.printf "\nall checks passed\n"
 
-(* Where selfperf/residency record their JSON (--bench-out FILE); the
-   committed BENCH_*.json perf trajectory is regenerated this way. *)
+(* Where residency, degrade and tune record their JSON
+   (--bench-out FILE). *)
 let bench_out : string option ref = ref None
 
 (* {1 Residency payoff: bytes moved and makespan, A/B over the registry} *)
@@ -804,378 +729,6 @@ let degrade_mode () =
   end
   else Printf.printf "degradation contract holds at every point\n"
 
-(* {1 Interpreter throughput: reference vs compiled evaluator} *)
-
-(* Statements/sec for one (engine, program).  One warm-up run yields
-   [work] (fuel consumed: statements + iterations + calls) and, for the
-   compiled engine, populates the per-domain compile cache — the cached
-   regime is the one the check sweeps actually run in.  Then enough
-   timed repetitions to make each measurement a few milliseconds. *)
-let stmts_per_sec run prog =
-  let work =
-    match run prog with
-    | Ok (o : Minic.Interp.outcome) -> o.Minic.Interp.work
-    | Error e -> failwith ("selfperf: workload failed: " ^ e)
-  in
-  let reps = max 3 (200_000 / max work 1) in
-  (* best of 3 trials: a background process stealing the core inflates
-     a single trial by 2x or more, and min is far more stable than
-     mean under that kind of noise *)
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (run prog)
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  (work, float_of_int (work * reps) /. !best)
-
-(* Print-formatting micro-benchmark: a print-dominated loop, so the
-   direct-to-Buffer formatting path in the print builtins is what is
-   being timed rather than expression evaluation. *)
-let print_micro_src =
-  "int main(void) {\n\
-  \  float x = 0.0;\n\
-  \  for (i = 0; i < 500; i++) {\n\
-  \    x = 0.125 * (float)i;\n\
-  \    print_float(x);\n\
-  \    print_int(i);\n\
-  \  }\n\
-  \  return 0;\n\
-   }"
-
-let engine_throughput () =
-  Printf.printf "\n== Interpreter throughput: reference vs compiled ==\n";
-  Printf.printf "  %-14s %9s %14s %14s %9s\n" "workload" "stmts" "ref stmt/s"
-    "compiled" "speedup";
-  let row name prog =
-    let work, ref_sps = stmts_per_sec Minic.Interp.run prog in
-    let _, comp_sps = stmts_per_sec Minic.Compile_eval.run_compiled prog in
-    let speedup = comp_sps /. ref_sps in
-    Printf.printf "  %-14s %9d %14.0f %14.0f %8.2fx\n" name work ref_sps
-      comp_sps speedup;
-    (name, work, ref_sps, comp_sps, speedup)
-  in
-  let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        row w.name (Workloads.Workload.program w))
-      Workloads.Registry.all
-  in
-  let geomean =
-    exp
-      (List.fold_left (fun a (_, _, _, _, s) -> a +. log s) 0. rows
-      /. float_of_int (List.length rows))
-  in
-  let micro =
-    row "print-micro" (Minic.Parser.program_of_string_exn print_micro_src)
-  in
-  Printf.printf "  %-24s %.2fx\n" "geomean speedup" geomean;
-  let row_json (name, work, ref_sps, comp_sps, speedup) =
-    Obs.Json.Obj
-      [
-        ("name", Obs.Json.String name);
-        ("stmts", Obs.Json.Int work);
-        ("ref_stmts_per_s", Obs.Json.Float ref_sps);
-        ("compiled_stmts_per_s", Obs.Json.Float comp_sps);
-        ("speedup", Obs.Json.Float speedup);
-      ]
-  in
-  let json =
-    Obs.Json.Obj
-      [
-        ("bench", Obs.Json.String "interp-throughput");
-        ("geomean_speedup", Obs.Json.Float geomean);
-        ("workloads", Obs.Json.List (List.map row_json rows));
-        ("print_micro", row_json micro);
-      ]
-  in
-  Printf.printf "json: %s\n" (Obs.Json.to_string json);
-  json
-
-(* {1 Optimizer payoff: mid-end-optimized vs unoptimized} *)
-
-(* Wall-clock per run of each registry kernel, unoptimized vs after
-   the lib/opt pipeline, on the compiled engine (the regime the check
-   sweeps actually run in).  Statements/sec are reported per side, but
-   the optimized program executes {e fewer} statements — folding
-   deletes them, DCE removes them, inlining drops call frames — so the
-   honest payoff metric is time per run, which is what the speedup
-   column is. *)
-(* Paired A/B timing for the payoff rows: base and optimized trials
-   interleave, so a background-load phase inflates both sides instead
-   of one, and per-side best-of-7 discards the inflated trials.  The
-   speedup is a ratio of ~milliseconds, which plain [stmts_per_sec]
-   per side measures too noisily to trust near 1.00x. *)
-let ab_stmts_per_sec prog0 prog1 =
-  let work p =
-    match Minic.Compile_eval.run_compiled p with
-    | Ok (o : Minic.Interp.outcome) -> o.Minic.Interp.work
-    | Error e -> failwith ("selfperf: workload failed: " ^ e)
-  in
-  let w0 = work prog0 and w1 = work prog1 in
-  let reps = max 3 (400_000 / max w0 1) in
-  let best0 = ref infinity and best1 = ref infinity in
-  for _ = 1 to 7 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Minic.Compile_eval.run_compiled prog0)
-    done;
-    let t1 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Minic.Compile_eval.run_compiled prog1)
-    done;
-    let t2 = Unix.gettimeofday () in
-    if t1 -. t0 < !best0 then best0 := t1 -. t0;
-    if t2 -. t1 < !best1 then best1 := t2 -. t1
-  done;
-  ( (w0, float_of_int (w0 * reps) /. !best0),
-    (w1, float_of_int (w1 * reps) /. !best1) )
-
-let opt_throughput () =
-  Printf.printf
-    "\n== Optimizer payoff: unoptimized vs -O (compiled engine) ==\n";
-  Printf.printf "  %-14s %9s %9s %14s %14s %9s\n" "workload" "stmts"
-    "-O stmts" "base stmt/s" "-O stmt/s" "speedup";
-  let row name prog =
-    let optimized = Opt.run prog in
-    let (work0, sps0), (work1, sps1) = ab_stmts_per_sec prog optimized in
-    let speedup =
-      float_of_int work0 /. sps0 /. (float_of_int work1 /. sps1)
-    in
-    Printf.printf "  %-14s %9d %9d %14.0f %14.0f %8.2fx\n" name work0 work1
-      sps0 sps1 speedup;
-    (name, work0, work1, sps0, sps1, speedup)
-  in
-  let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        row w.name (Workloads.Workload.program w))
-      Workloads.Registry.all
-  in
-  let geomean =
-    exp
-      (List.fold_left (fun a (_, _, _, _, _, s) -> a +. log s) 0. rows
-      /. float_of_int (List.length rows))
-  in
-  Printf.printf "  %-24s %.2fx\n" "geomean speedup" geomean;
-  let row_json (name, work0, work1, sps0, sps1, speedup) =
-    Obs.Json.Obj
-      [
-        ("name", Obs.Json.String name);
-        ("stmts", Obs.Json.Int work0);
-        ("opt_stmts", Obs.Json.Int work1);
-        ("base_stmts_per_s", Obs.Json.Float sps0);
-        ("opt_stmts_per_s", Obs.Json.Float sps1);
-        ("speedup", Obs.Json.Float speedup);
-      ]
-  in
-  let json =
-    Obs.Json.Obj
-      [
-        ("bench", Obs.Json.String "opt-midend");
-        ("geomean_speedup", Obs.Json.Float geomean);
-        ("workloads", Obs.Json.List (List.map row_json rows));
-      ]
-  in
-  Printf.printf "json: %s\n" (Obs.Json.to_string json);
-  json
-
-(* {1 Service mode: tail latency of the daemon under a seeded mix} *)
-
-(* The serve bench drives the in-process daemon ({!Serve.handle_line})
-   with a fixed seeded request mix at pool widths 1..4 and reports
-   requests/sec and p50/p99 latency per width.  Alongside the numbers
-   it asserts the daemon's contracts: every request gets exactly one
-   response (malformed and over-budget ones included — zero crashes),
-   the response stream is byte-identical to the width-1 stream at
-   every width, and the shared compile cache's hit counter is strictly
-   increasing across the periodic stats probes. *)
-let serve_requests = 1000
-let serve_widths = [ 1; 2; 3; 4 ]
-
-(* Deterministic mix: an LCG over request templates.  Mostly [run]
-   over a small pool of distinct sources (the cached regime a
-   long-running service actually sees), plus optimizes, simulates, a
-   stats probe every 100 requests, and a sprinkle of malformed and
-   over-budget requests. *)
-let serve_mix ~n ~seed =
-  let state = ref seed in
-  let rand m =
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state mod m
-  in
-  let src k =
-    Printf.sprintf
-      "int main(void) { int s = 0; for (i = 0; i < %d; i++) { s = s + i; } \
-       print_int(s); return 0; }"
-      (10 * (k + 1))
-  in
-  let run_req k =
-    Printf.sprintf {|{"cmd":"run","src":%s}|}
-      (Obs.Json.to_string (Obs.Json.String (src k)))
-  in
-  let opt_req k =
-    Printf.sprintf {|{"cmd":"optimize","src":%s}|}
-      (Obs.Json.to_string (Obs.Json.String (src k)))
-  in
-  let benches = [| "blackscholes"; "kmeans"; "ferret" |] in
-  let malformed =
-    [|
-      "definitely not json";
-      {|{"cmd":"levitate"}|};
-      {|{"cmd":"run","src":"int main(void) { return }"}|};
-      {|{"cmd":"run"}|};
-    |]
-  in
-  let over_budget =
-    {|{"cmd":"run","src":"int main(void) { while (1) {} return 0; }","opts":{"fuel":50}}|}
-  in
-  List.init n (fun k ->
-      if k > 0 && k mod 100 = 0 then {|{"cmd":"stats"}|}
-      else
-        match rand 20 with
-        | 0 -> malformed.(rand (Array.length malformed))
-        | 1 -> over_budget
-        | 2 | 3 -> opt_req (rand 6)
-        | 4 | 5 ->
-            Printf.sprintf {|{"cmd":"simulate","bench":"%s"}|}
-              benches.(rand (Array.length benches))
-        | _ -> run_req (rand 6))
-
-let percentile p xs =
-  match xs with
-  | [] -> Float.nan
-  | _ ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      let i = int_of_float (p *. float_of_int (n - 1)) in
-      a.(min (n - 1) (max 0 i))
-
-(* Cache hits as seen by each stats probe, in stream order — extracted
-   by parsing the response lines back with the Obs.Json reader. *)
-let stats_hits responses =
-  List.filter_map
-    (fun line ->
-      match Obs.Json.of_string line with
-      | Error _ -> None
-      | Ok j -> (
-          match Obs.Json.member "cache" j with
-          | Some c -> (
-              match Obs.Json.member "hits" c with
-              | Some (Obs.Json.Int h) -> Some h
-              | _ -> None)
-          | None -> None))
-    responses
-
-let serve_sweep () =
-  Printf.printf
-    "== Service mode: %d-request seeded mix, widths %s ==\n" serve_requests
-    (String.concat " " (List.map string_of_int serve_widths));
-  let lines = serve_mix ~n:serve_requests ~seed:42 in
-  let run_once w =
-    let config = { Serve.default_config with jobs = Some w; timings = true } in
-    let t = Serve.create ~config () in
-    let t0 = Unix.gettimeofday () in
-    let body = List.concat_map (Serve.handle_line t) lines in
-    let tail = Serve.finish t in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    (body @ tail, wall_s, Serve.latencies t, Serve.cache_hits t,
-     Serve.cache_misses t)
-  in
-  (* one warmup pass, then best-of-3 wall clock (the min-timing idiom
-     the micro benches use): responses are deterministic per width, so
-     only the timing needs the repetitions *)
-  let run_width w =
-    ignore (run_once w);
-    let (responses, w1, lats, hits, misses) = run_once w in
-    let (_, w2, _, _, _) = run_once w in
-    let (_, w3, _, _, _) = run_once w in
-    (responses, Float.min w1 (Float.min w2 w3), lats, hits, misses)
-  in
-  let failures = ref 0 in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        incr failures;
-        Printf.printf "  FAILED: %s\n" msg)
-      fmt
-  in
-  let baseline = ref [] in
-  Printf.printf "  %-6s %10s %12s %10s %10s %8s %8s %10s\n" "jobs"
-    "responses" "req/s" "p50 ms" "p99 ms" "hits" "misses" "identical";
-  let width_json =
-    List.map
-      (fun w ->
-        let responses, wall_s, lats, hits, misses = run_width w in
-        if w = List.hd serve_widths then baseline := responses;
-        let identical = responses = !baseline in
-        if List.length responses <> serve_requests then
-          fail "jobs=%d: %d responses for %d requests" w
-            (List.length responses) serve_requests;
-        if not identical then
-          fail "jobs=%d: response stream differs from jobs=%d" w
-            (List.hd serve_widths);
-        let probes = stats_hits responses in
-        if
-          not
-            (List.for_all2 ( < )
-               (List.filteri (fun i _ -> i < List.length probes - 1) probes)
-               (List.tl probes))
-        then
-          fail "jobs=%d: cache hits not strictly increasing across stats \
-                probes" w;
-        let rps = float_of_int serve_requests /. wall_s in
-        let p50 = 1000. *. percentile 0.50 lats in
-        let p99 = 1000. *. percentile 0.99 lats in
-        Printf.printf "  %-6d %10d %12.0f %10.3f %10.3f %8d %8d %10s\n" w
-          (List.length responses) rps p50 p99 hits misses
-          (if identical then "yes" else "NO");
-        Obs.Json.Obj
-          [
-            ("jobs", Obs.Json.Int w);
-            ("requests_per_s", Obs.Json.Float rps);
-            ("p50_ms", Obs.Json.Float p50);
-            ("p99_ms", Obs.Json.Float p99);
-            ("cache_hits", Obs.Json.Int hits);
-            ("cache_misses", Obs.Json.Int misses);
-            ("identical_to_width1", Obs.Json.Bool identical);
-          ])
-      serve_widths
-  in
-  let json =
-    Obs.Json.Obj
-      [
-        ("bench", Obs.Json.String "serve");
-        ("requests", Obs.Json.Int serve_requests);
-        ("seed", Obs.Json.Int 42);
-        ("contract_failures", Obs.Json.Int !failures);
-        ("widths", Obs.Json.List width_json);
-      ]
-  in
-  (json, !failures)
-
-let serve_mode () =
-  let json, failures = serve_sweep () in
-  Printf.printf "json: %s\n" (Obs.Json.to_string json);
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Obs.Json.to_string json);
-          output_char oc '\n'))
-    !bench_out;
-  if failures > 0 then begin
-    Printf.eprintf "serve: %d contract failure(s)\n" failures;
-    exit 1
-  end
-  else Printf.printf "service contract holds at every width\n"
-
 (* {1 Auto-tune: per-workload best-config sweep over a fixed fleet} *)
 
 (* The tentpole's headline experiment: search the (devices, streams,
@@ -1185,9 +738,7 @@ let serve_mode () =
    default point always competes, so per-workload speedup is >= 1.0
    by construction; what the sweep must demonstrate is that several
    workloads improve *past noise* — there is no timing noise here
-   (the makespans are simulated), so improved means > 1.001x.  The
-   serve width sweep rides along so BENCH_10 also records the
-   admission-batching fix. *)
+   (the makespans are simulated), so improved means > 1.001x. *)
 let tune_devices = 4
 let tune_streams = 2
 
@@ -1234,7 +785,6 @@ let tune_mode () =
     (Obs.count obs "tune.explored")
     (Obs.count obs "tune.pruned")
     (Obs.count obs "tune.block_cache.hits");
-  let serve_json, serve_failures = serve_sweep () in
   let row_json (name, rep, sp) =
     Obs.Json.Obj
       [
@@ -1259,7 +809,6 @@ let tune_mode () =
         ("geomean_speedup", Obs.Json.Float geomean);
         ("improved", Obs.Json.Int improved);
         ("workloads", Obs.Json.List (List.map row_json rows));
-        ("serve", serve_json);
       ]
   in
   Printf.printf "json: %s\n" (Obs.Json.to_string json);
@@ -1272,7 +821,7 @@ let tune_mode () =
           output_string oc (Obs.Json.to_string json);
           output_char oc '\n'))
     !bench_out;
-  let failures = ref serve_failures in
+  let failures = ref 0 in
   if geomean < 1.0 then begin
     Printf.eprintf "tune: geomean speedup %.3f < 1.0\n" geomean;
     incr failures
@@ -1286,94 +835,6 @@ let tune_mode () =
     exit 1
   end
   else Printf.printf "tuning contract holds\n"
-
-(* {1 Self-performance: sequential vs parallel sweep wall-clock} *)
-
-(* The paper's argument applied to ourselves: a sweep of independent
-   work items on one stream underutilizes the machine.  Run the
-   registry sweep (schedule the optimized variant + differential-check
-   every transform, per workload) once at --jobs 1 and once at the
-   requested width, and report measured wall-clock — the speedup is
-   measured, not claimed.  The per-worker sinks merged in submission
-   order must reproduce the sequential profile exactly; selfperf
-   verifies that too and fails loudly if they differ.  (Timing lines
-   are of course not part of the byte-identical-output guarantee.) *)
-let selfperf () =
-  let sweep_task (w : Workloads.Workload.t) =
-    let obs = Obs.create () in
-    let r = Comp.schedule ~obs w Comp.Mic_optimized in
-    let _, row_failures = check_row w in
-    (w.name, obs, r.Machine.Engine.makespan, row_failures)
-  in
-  let run_sweep ~jobs =
-    let t0 = Unix.gettimeofday () in
-    let results = Parallel.map ~jobs sweep_task Workloads.Registry.all in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let merged = Obs.create () in
-    List.iter (fun (_, o, _, _) -> Obs.merge merged o) results;
-    let digest =
-      List.map (fun (name, _, mk, fails) -> (name, mk, fails)) results
-    in
-    (wall_s, merged, digest)
-  in
-  let njobs = Parallel.jobs_of !jobs in
-  let ntasks = List.length Workloads.Registry.all in
-  Printf.printf "\n== Self-performance: registry sweep, 1 vs %d jobs ==\n"
-    njobs;
-  let seq_s, seq_obs, seq_digest = run_sweep ~jobs:1 in
-  let par_s, par_obs, par_digest = run_sweep ~jobs:njobs in
-  let profile_equal =
-    Obs.Json.to_string (Obs.to_json seq_obs)
-    = Obs.Json.to_string (Obs.to_json par_obs)
-    && Obs.spans seq_obs = Obs.spans par_obs
-    && seq_digest = par_digest
-  in
-  let speedup = if par_s > 0. then seq_s /. par_s else 0. in
-  Printf.printf "  %-24s %d\n" "tasks" ntasks;
-  Printf.printf "  %-24s %.3f s\n" "sequential (1 job)" seq_s;
-  Printf.printf "  %-24s %.3f s\n"
-    (Printf.sprintf "parallel (%d jobs)" njobs)
-    par_s;
-  Printf.printf "  %-24s %.2fx\n" "speedup" speedup;
-  Printf.printf "  %-24s %s\n" "merged profile equal"
-    (if profile_equal then "yes" else "NO");
-  Printf.printf "json: %s\n"
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [
-            ("tasks", Obs.Json.Int ntasks);
-            ("jobs", Obs.Json.Int njobs);
-            ("seq_s", Obs.Json.Float seq_s);
-            ("par_s", Obs.Json.Float par_s);
-            ("speedup", Obs.Json.Float speedup);
-            ("profile_equal", Obs.Json.Bool profile_equal);
-          ]));
-  if not profile_equal then begin
-    Printf.eprintf
-      "selfperf: merged parallel profile differs from the sequential one\n";
-    exit 1
-  end;
-  let interp_json = engine_throughput () in
-  let opt_json = opt_throughput () in
-  (* --bench-out: this PR's benchmark (the optimizer payoff) at the
-     top level, with the interpreter-throughput rows nested so the
-     BENCH_5 trajectory stays reproducible from the same file. *)
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          let json =
-            match opt_json with
-            | Obs.Json.Obj fields ->
-                Obs.Json.Obj
-                  (fields @ [ ("interp_throughput", interp_json) ])
-            | j -> j
-          in
-          output_string oc (Obs.Json.to_string json);
-          output_char oc '\n'))
-    !bench_out
 
 (* [--jobs N] / [--jobs=N] anywhere on the command line sets the sweep
    width; everything else is an experiment name.  Output is identical
@@ -1415,20 +876,17 @@ let () =
     | "ablations" -> ablations ()
     | "profile" -> profile ()
     | "faults" -> faults_mode ()
-    | "micro" -> micro ()
     | "check" -> check_mode ()
-    | "selfperf" -> selfperf ()
     | "residency" -> residency_mode ()
     | "degrade" -> degrade_mode ()
-    | "serve" -> serve_mode ()
     | "tune" -> tune_mode ()
     | name -> (
         match List.assoc_opt name Experiments.All.by_name with
         | Some f -> f ()
         | None ->
             Printf.eprintf
-              "unknown experiment %s; known: %s ablations profile faults micro \
-               check selfperf residency degrade serve tune\n"
+              "unknown experiment %s; known: %s ablations profile faults \
+               check residency degrade tune\n"
               name
               (String.concat " " Experiments.All.names);
             exit 1)
@@ -1438,6 +896,5 @@ let () =
       Experiments.All.print_all ();
       ablations ();
       profile ();
-      Experiments.Sensitivity.print ();
-      micro ()
+      Experiments.Sensitivity.print ()
   | names -> List.iter run_named names

@@ -1180,14 +1180,6 @@ let serve_cmd =
              and responses printed whenever the server pauses, so an \
              interactive session is answered line by line")
   in
-  let queue =
-    Arg.(
-      value & opt int Serve.default_config.Serve.queue
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Admission bound: reject requests with $(b,queue_full) once \
-             $(docv) are waiting")
-  in
   let batch =
     Arg.(
       value & opt int Serve.default_config.Serve.batch
@@ -1203,7 +1195,8 @@ let serve_cmd =
     Arg.(
       value & opt int Serve.default_config.Serve.max_fuel
       & info [ "max-fuel" ] ~docv:"N"
-          ~doc:"Per-request interpreter statement budget ceiling")
+          ~doc:
+            "Per-request interpreter statement budget ceiling (at least 1)")
   in
   let max_time =
     Arg.(
@@ -1212,9 +1205,26 @@ let serve_cmd =
       & info [ "max-time" ] ~docv:"SECONDS"
           ~doc:
             "Per-request wall budget, converted to fuel at 2,000,000 \
-             statements per second")
+             statements per second; positive and finite. A budget worth \
+             more than $(b,--max-fuel) leaves $(b,--max-fuel)")
   in
-  let run socket connect jobs queue batch max_fuel max_time =
+  let run socket connect jobs batch max_fuel max_time =
+    if batch < 1 then
+      die_usage
+        (Printf.sprintf "serve: --batch must be at least 1 (got %d)" batch);
+    if max_fuel < 1 then
+      die_usage
+        (Printf.sprintf "serve: --max-fuel must be at least 1 (got %d)"
+           max_fuel);
+    Option.iter
+      (fun s ->
+        if not (Float.is_finite s && s > 0.) then
+          die_usage
+            (Printf.sprintf
+               "serve: --max-time must be a positive, finite number of \
+                seconds (got %g)"
+               s))
+      max_time;
     match connect with
     | Some path ->
         if socket <> None then
@@ -1228,9 +1238,8 @@ let serve_cmd =
         let config =
           {
             Serve.jobs;
-            queue = max 1 queue;
-            batch = max 1 batch;
-            max_fuel = max 1 max_fuel;
+            batch;
+            max_fuel;
             max_time;
             timings = false;
           }
@@ -1245,15 +1254,15 @@ let serve_cmd =
        ~doc:
          "Run compc as a long-lived JSONL request daemon: one JSON \
           request per line (optimize/run/check/simulate/stats/shutdown), \
-          one JSON response per line, with admission control, \
-          per-request budgets and a request-shared compile cache")
+          one JSON response per line, with per-request budgets and a \
+          request-shared compile cache")
     Term.(
       const run $ socket $ connect
       $ jobs_arg ~pool_for:"request execution"
           ~invariant:
             "For a given sequence of batch cuts (see $(b,--batch)), the \
              response stream is byte-identical"
-      $ queue $ batch $ max_fuel $ max_time)
+      $ batch $ max_fuel $ max_time)
 
 (* --- --profile (top-level) --- *)
 

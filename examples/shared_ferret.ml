@@ -1,8 +1,9 @@
-(** The shared-memory mechanism of Section V, driven directly: build a
-    pointer-based structure in segmented buffers, DMA it to the device
-    image, dereference through the delta table (Table I), and compare
-    against the MYO page-faulting baseline on ferret's numbers
-    (Table III).
+(** The shared-memory mechanism of Section V against the MYO
+    page-faulting baseline on ferret's numbers (Table III): MYO's
+    allocation limit, the whole-segment DMA timing of the machine
+    model, and MiniC's [translate()] clause, which rebases pointer
+    cells through the delta table (Table I) so a linked structure
+    survives the transfer.
 
     Run with: [dune exec examples/shared_ferret.exe] *)
 
@@ -11,47 +12,7 @@ open Runtime
 let cfg = Machine.Config.paper_default
 
 let () =
-  (* 1. a small pointer-based database: a linked list of feature nodes,
-     each [id; score; next] *)
-  let sb = Segbuf.create ~seg_cells:32 () in
-  let nodes =
-    List.init 40 (fun i ->
-        let p = Segbuf.alloc sb 3 in
-        Segbuf.set sb p 0 i;
-        Segbuf.set sb p 1 (i * i mod 97);
-        Segbuf.set_ptr sb p 2 Xptr.null;
-        p)
-  in
-  List.iteri
-    (fun i p ->
-      match List.nth_opt nodes (i + 1) with
-      | Some q -> Segbuf.set_ptr sb p 2 q
-      | None -> ())
-    nodes;
-  Printf.printf "built %d nodes in %d segments (%d allocations)\n"
-    (List.length nodes) (Segbuf.seg_count sb) (Segbuf.alloc_count sb);
-
-  (* 2. "offload": copy whole segments to the device with one DMA each *)
-  let img = Segbuf.Image.of_segbuf sb in
-  Printf.printf "device image: %d DMAs, %d bytes\n"
-    (Segbuf.Image.dma_count img)
-    (Segbuf.Image.transferred_bytes img);
-
-  (* 3. walk the list on the device: every dereference translates the
-     CPU address with delta[bid], as in Table I *)
-  let rec device_sum p acc =
-    if Xptr.is_null p then acc
-    else
-      device_sum (Segbuf.Image.get_ptr img p 2) (acc + Segbuf.Image.get img p 1)
-  in
-  let host_sum =
-    List.fold_left (fun acc p -> acc + Segbuf.get sb p 1) 0 nodes
-  in
-  let dev_sum = device_sum (List.hd nodes) 0 in
-  Printf.printf "score sum: host=%d device=%d (equal: %b)\n" host_sum dev_sum
-    (host_sum = dev_sum);
-
-  (* 4. ferret under MYO: the allocation count alone is fatal *)
+  (* ferret under MYO: the allocation count alone is fatal *)
   let ferret = Workloads.Registry.find_exn "ferret" in
   let shared = Option.get ferret.shape.Plan.shared in
   let myo = Myo.create cfg.Machine.Config.myo in
@@ -72,7 +33,7 @@ let () =
       Format.printf "MYO fails at allocation %d of %d: %a@." i
         shared.Plan.shared_allocs Myo.pp_error e);
 
-  (* 5. timing on the machine model: page faulting vs whole-segment
+  (* timing on the machine model: page faulting vs whole-segment
      DMA (Table III) *)
   let t_myo = Schedule_gen.region_time cfg ferret.shape Plan.Shared_myo in
   let t_seg =
@@ -83,7 +44,7 @@ let () =
     "ferret offload: MYO %.3f s, segmented buffers %.3f s (%.2fx)\n" t_myo
     t_seg (t_myo /. t_seg)
 
-(* 6. the same mechanism at the language level: MiniC's translate()
+(* the same mechanism at the language level: MiniC's translate()
    transfer clause rebases pointer cells onto the device copy, so a
    linked structure built with real pointers survives the DMA *)
 let () =

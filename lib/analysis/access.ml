@@ -27,7 +27,6 @@ type t = {
 exception Unknown_array of string
 
 let is_affine a = match a.kind with Affine _ -> true | _ -> false
-let is_gather a = match a.kind with Gather _ -> true | _ -> false
 
 let classify_index ~index e =
   match Affine.of_expr ~index e with
@@ -123,10 +122,6 @@ let arrays accesses =
     index.  (Loop-invariant indices count as affine with coefficient 0;
     the streaming transform transfers those arrays whole, up-front.) *)
 let all_affine accesses = List.for_all is_affine accesses
-
-(** Accesses that defeat streaming/vectorization. *)
-let irregular accesses =
-  List.filter (fun a -> not (is_affine a)) accesses
 
 (** Per-array summary used to build data clauses and block slices. *)
 type summary = {

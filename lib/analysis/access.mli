@@ -26,9 +26,6 @@ exception Unknown_array of string
     [Not_found] that names nothing. *)
 
 val is_affine : t -> bool
-val is_gather : t -> bool
-
-val classify_index : index:string -> Minic.Ast.expr -> kind
 
 val of_block :
   index:string -> guarded:bool -> t list -> Minic.Ast.block -> t list
@@ -46,8 +43,6 @@ val arrays : t list -> string list
 
 val all_affine : t list -> bool
 (** The streaming legality check. *)
-
-val irregular : t list -> t list
 
 (** Per-array summary used to build data clauses and block slices. *)
 type summary = {

@@ -65,9 +65,3 @@ let rec of_expr ~index e =
 (** Rebuild the expression [coeff * i + offset]. *)
 let to_expr ~index { coeff; offset } =
   Simplify.add (Simplify.mul (Int_lit coeff) (Var index)) offset
-
-(** Is this a unit-stride access [i + b]? *)
-let unit_stride t = t.coeff = 1
-
-(** Is the access loop-invariant (does not move with the index)? *)
-let invariant t = t.coeff = 0

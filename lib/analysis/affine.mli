@@ -9,12 +9,6 @@
 type t = { coeff : int; offset : Minic.Ast.expr }
 (** index = [coeff * i + offset]; [offset] does not mention [i]. *)
 
-val constant : Minic.Ast.expr -> t
-(** Coefficient 0: a loop-invariant index. *)
-
-val index_var : t
-(** The bare index [i]: coefficient 1, offset 0. *)
-
 val pp : Format.formatter -> t -> unit
 
 val of_expr : index:string -> Minic.Ast.expr -> t option
@@ -24,6 +18,3 @@ val of_expr : index:string -> Minic.Ast.expr -> t option
 
 val to_expr : index:string -> t -> Minic.Ast.expr
 (** Rebuild [coeff * i + offset] (simplified). *)
-
-val unit_stride : t -> bool
-val invariant : t -> bool

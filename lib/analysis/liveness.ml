@@ -14,13 +14,6 @@ type info = {
 
 let empty = { uses = SS.empty; defs = SS.empty; decls = SS.empty }
 
-let union a b =
-  {
-    uses = SS.union a.uses b.uses;
-    defs = SS.union a.defs b.defs;
-    decls = SS.union a.decls b.decls;
-  }
-
 let expr_uses e = SS.of_list (expr_vars e)
 
 (* base variable of an lvalue: writing a[i] or *p or p->f defines (part

@@ -12,9 +12,7 @@ type info = {
 }
 
 val empty : info
-val union : info -> info -> info
 
-val of_stmt : info -> Minic.Ast.stmt -> info
 val of_block : info -> Minic.Ast.block -> info
 (** Accumulate raw use/def/decl sets (no local filtering). *)
 

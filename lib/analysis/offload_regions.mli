@@ -17,7 +17,6 @@ val peel :
   (Minic.Ast.pragma list * Minic.Ast.for_loop) option
 (** Strip the pragma chain in front of a [for] loop, if any. *)
 
-val of_func : Minic.Ast.func -> region list
 val of_program : Minic.Ast.program -> region list
 (** All regions, including loops nested inside other regions' bodies
     (but never double-reporting a pragma chain). *)

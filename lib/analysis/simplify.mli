@@ -7,7 +7,6 @@ val add : Minic.Ast.expr -> Minic.Ast.expr -> Minic.Ast.expr
 val sub : Minic.Ast.expr -> Minic.Ast.expr -> Minic.Ast.expr
 val mul : Minic.Ast.expr -> Minic.Ast.expr -> Minic.Ast.expr
 val div : Minic.Ast.expr -> Minic.Ast.expr -> Minic.Ast.expr
-val modulo : Minic.Ast.expr -> Minic.Ast.expr -> Minic.Ast.expr
 
 val const_int : Minic.Ast.expr -> int option
 (** Fold a closed integer expression to its value. *)

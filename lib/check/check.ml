@@ -45,9 +45,6 @@ let transform_name = function
   | Shared -> "shared"
   | Residency -> "residency"
 
-let transform_of_name s =
-  List.find_opt (fun t -> transform_name t = s) all_transforms
-
 (** [apply txf prog] runs one whole-program transform and returns the
     rewritten program with the number of rewrite applications (0 means
     the transform was not applicable anywhere — the identity). *)

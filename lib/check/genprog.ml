@@ -49,9 +49,6 @@ let pattern_name = function
   | Plain_loop -> "plain-loop"
   | Inout -> "inout"
 
-let pattern_of_name s =
-  List.find_opt (fun p -> pattern_name p = s) all_patterns
-
 (* Every pattern folds its own tag into the random state so the same
    seed yields unrelated instances across patterns. *)
 let rng pattern seed =

@@ -221,13 +221,6 @@ let simulate ?obs ?(cfg = Machine.Config.paper_default)
   let strategy, shape = plan_of_variant w a variant in
   Runtime.Schedule_gen.total_time ?obs cfg shape strategy
 
-(** Offload-region time only (no host serial part). *)
-let simulate_region ?obs ?(cfg = Machine.Config.paper_default)
-    (w : Workloads.Workload.t) variant =
-  let a = analyze w in
-  let strategy, shape = plan_of_variant w a variant in
-  Runtime.Schedule_gen.region_time ?obs cfg shape strategy
-
 (** Whole-application time with device death absorbed: like
     {!simulate}, but when [cfg.fault] kills the device and the policy
     allows CPU fallback, the returned record carries the recovered

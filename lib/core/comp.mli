@@ -122,10 +122,6 @@ val simulate :
   ?obs:Obs.t -> ?cfg:Machine.Config.t -> Workloads.Workload.t -> variant -> float
 (** Whole-application time on the simulated machine. *)
 
-val simulate_region :
-  ?obs:Obs.t -> ?cfg:Machine.Config.t -> Workloads.Workload.t -> variant -> float
-(** Offload-region time only (no host serial part). *)
-
 val simulate_recovered :
   ?obs:Obs.t ->
   ?cfg:Machine.Config.t ->

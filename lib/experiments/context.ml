@@ -49,11 +49,6 @@ let merging_benchmarks () =
     (fun w -> (Comp.analyze w).Comp.merging)
     Workloads.Registry.all
 
-let regularization_benchmarks () =
-  List.filter
-    (fun w -> (Comp.analyze w).Comp.regularization <> [])
-    Workloads.Registry.all
-
 let shared_benchmarks () =
   List.filter
     (fun w -> (Comp.analyze w).Comp.shared_memory)

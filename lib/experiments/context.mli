@@ -21,5 +21,4 @@ val streaming_pair : Workloads.Workload.t -> Comp.variant * Comp.variant
 
 val streaming_benchmarks : unit -> Workloads.Workload.t list
 val merging_benchmarks : unit -> Workloads.Workload.t list
-val regularization_benchmarks : unit -> Workloads.Workload.t list
 val shared_benchmarks : unit -> Workloads.Workload.t list

@@ -3,6 +3,5 @@
 
 type row = { name : string; transfer_ratio : float; calc_ratio : float }
 
-val benchmarks : string list
 val rows : unit -> row list
 val print : unit -> unit

@@ -7,18 +7,12 @@ val bandwidth_rows : unit -> (string * float list) list
 (** Streaming gain at 3/6/12/24/48 GB/s per streaming benchmark
     (single-offload shapes). *)
 
-val print_bandwidth : unit -> unit
-
 val memory_wall_rows :
   unit -> (string * int * float * bool * float * bool) list
 (** (benchmark, input scale, naive bytes, naive fits, streamed bytes,
     streamed fits). *)
 
-val print_memory_wall : unit -> unit
-
 val duplex_rows : unit -> (string * float * float * float) list
 (** (benchmark, full-duplex s, half-duplex s, slowdown). *)
-
-val print_duplex : unit -> unit
 
 val print : unit -> unit

@@ -16,9 +16,5 @@ type row = {
 val row : Workloads.Workload.t -> row
 val rows : unit -> row list
 
-val paper_matrix : (string * (bool * bool * bool * bool)) list
-(** The paper's applicability per benchmark:
-    (streaming, merging, regularization, shared memory). *)
-
 val matches_paper : row -> bool
 val print : unit -> unit

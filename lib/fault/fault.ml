@@ -11,11 +11,11 @@
     consecutive exhausted transfers, and CPU fallback.
 
     The spec travels inside {!Machine.Config.t}; the consumers
-    ([Engine], [Coi], [Myo], [Segbuf], [Replay]) each instantiate a
-    mutable {!t} (a {e plan}) from it and consult it as simulated
-    events occur.  All randomness is a pure hash of
-    [(seed, stream, index)], so draws are independent of evaluation
-    order and every run with the same spec is identical. *)
+    ([Engine], [Myo], [Replay]) each instantiate a mutable {!t} (a
+    {e plan}) from it and consult it as simulated events occur.  All
+    randomness is a pure hash of [(seed, stream, index)], so draws are
+    independent of evaluation order and every run with the same spec
+    is identical. *)
 
 (** {1 Recovery policy} *)
 
@@ -25,8 +25,8 @@ type policy = {
   backoff_base_s : float;  (** first retry delay *)
   backoff_ceiling_s : float;  (** exponential backoff saturates here *)
   wait_timeout_s : float;
-      (** [Coi.wait] gives up after this long and raises {!Coi.Timeout}
-          instead of deadlocking *)
+      (** a wait whose signal was dropped gives up after this long and
+          polls the transfer itself instead of deadlocking *)
   dead_after : int;
       (** consecutive exhausted retry rounds before the device is
           declared dead *)
@@ -445,12 +445,8 @@ let plan ?obs ?(dev = 0) spec =
     obs;
   }
 
-let plan_of ?obs ?dev spec =
-  if is_none spec then None else Some (plan ?obs ?dev spec)
-
 let spec t = t.spec
 let policy t = t.spec.policy
-let dev t = t.dev
 
 let bump ?(by = 1) t name =
   match t.obs with None -> () | Some o -> Obs.incr ~by o name
@@ -618,8 +614,3 @@ let myo_stall t =
 let note_fallback t = bump t "fault.fallbacks"
 
 let note_timeout t = bump t "fault.timeouts"
-
-let observe_recovery t seconds =
-  match t.obs with
-  | None -> ()
-  | Some o -> Obs.observe o "fault.recovery_s" seconds

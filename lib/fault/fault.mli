@@ -18,8 +18,8 @@ type policy = {
   backoff_base_s : float;  (** first retry delay *)
   backoff_ceiling_s : float;  (** exponential backoff saturates here *)
   wait_timeout_s : float;
-      (** [Coi.wait] gives up after this long and raises a recoverable
-          [Timeout] instead of deadlocking *)
+      (** a wait whose signal was dropped gives up after this long and
+          polls the transfer itself instead of deadlocking *)
   dead_after : int;
       (** consecutive exhausted retry rounds before the device is
           declared dead *)
@@ -110,14 +110,8 @@ val plan : ?obs:Obs.t -> ?dev:int -> spec -> t
     specialized with {!spec_for_dev} and the probabilistic draw
     streams are offset so devices fail independently. *)
 
-val plan_of : ?obs:Obs.t -> ?dev:int -> spec -> t option
-(** [None] for {!none} — the no-overhead fast path. *)
-
 val spec : t -> spec
 val policy : t -> policy
-
-val dev : t -> int
-(** The device this plan instance belongs to. *)
 
 exception Device_dead of { dev : int; at : float; failures : int }
 (** The degradation policy declared device [dev] dead at simulated
@@ -181,4 +175,3 @@ val myo_stall : t -> float option
 
 val note_fallback : t -> unit
 val note_timeout : t -> unit
-val observe_recovery : t -> float -> unit

@@ -155,9 +155,6 @@ let scale_for t dev =
 let homogeneous t =
   List.for_all (fun (_, s) -> s.sc_cores = 1.0 && s.sc_bw = 1.0) t.scales
 
-(** Total concurrent execution units: [devices * streams]. *)
-let units t = max 1 t.devices * max 1 t.streams
-
 (** Effective SIMD lanes for [float] (32-bit) elements. *)
 let simd_lanes bits = bits / 32
 

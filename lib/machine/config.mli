@@ -97,14 +97,7 @@ val scale_for : t -> int -> scale
 val homogeneous : t -> bool
 (** No device deviates from {!unit_scale}. *)
 
-val units : t -> int
-(** Total concurrent execution units: [devices * streams]. *)
-
-val gib : int
 val paper_default : t
-
-val simd_lanes : int -> int
-(** Lanes for 32-bit floats, given the SIMD width in bits. *)
 
 val mic_peak_flops : mic -> vectorized:bool -> float
 val cpu_peak_flops : cpu -> vectorized:bool -> float

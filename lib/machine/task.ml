@@ -24,11 +24,6 @@ let resource_name = function
   | Pcie_d2h 0 -> "d2h"
   | Pcie_d2h d -> Printf.sprintf "d2h%d" d
 
-(** The device a resource belongs to; [None] for the host. *)
-let resource_device = function
-  | Cpu_exec -> None
-  | Mic_exec (d, _) | Pcie_h2d d | Pcie_d2h d -> Some d
-
 (* canonical display/report order: cpu, then kernels by (dev, stream),
    then h2d links by dev, then d2h links by dev — the single-device
    prefix of which is exactly [base_resources] *)

@@ -15,9 +15,6 @@ val resource_name : resource -> string
 (** ["cpu"], ["mic"]/["micD.S"], ["h2d"]/["h2dD"], ["d2h"]/["d2hD"] —
     device-0/stream-0 names match the historical single-device ones. *)
 
-val resource_device : resource -> int option
-(** The device a resource belongs to; [None] for the host. *)
-
 type t = {
   id : int;
   label : string;

@@ -19,10 +19,6 @@ type phase_stat = {
   ph_seconds : float;
 }
 
-val phases : Engine.result -> phase_stat list
-(** Per-kind totals over the placed tasks (kind from the task, falling
-    back to the resource's natural kind); empty kinds omitted. *)
-
 val pp_profile : ?obs:Obs.t -> Format.formatter -> Engine.result -> unit
 (** The [--profile] report: per-resource utilization, the per-phase
     breakdown table and, with [?obs], the counter values. *)

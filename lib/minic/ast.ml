@@ -136,7 +136,6 @@ type program = global list [@@deriving show { with_path = false }, eq]
 (** {1 Constructors and small helpers} *)
 
 let int_ n = Int_lit n
-let float_ f = Float_lit f
 let var v = Var v
 let ( +: ) a b = Binop (Add, a, b)
 let ( -: ) a b = Binop (Sub, a, b)

@@ -36,7 +36,6 @@ let table : (string * signature) list =
   ]
 
 let find name = List.assoc_opt name table
-let is_builtin name = Option.is_some (find name)
 
 (** Pure float builtins, used by the interpreter. *)
 let eval_float1 = function

@@ -7,14 +7,7 @@
 
 type signature = { args : Ast.ty list; ret : Ast.ty }
 
-val table : (string * signature) list
-(** All builtins: math ([sqrt], [exp], [log], [fabs], [sin], [cos],
-    [pow], [fmin], [fmax]), integer helpers ([abs], [imin], [imax]),
-    printing ([print_int], [print_float], [print_bool]), and the
-    allocators ([malloc], [mic_malloc], [free], [mic_free]). *)
-
 val find : string -> signature option
-val is_builtin : string -> bool
 
 val eval_float1 : string -> (float -> float) option
 (** Unary float builtins, for the interpreter. *)

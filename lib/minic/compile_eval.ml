@@ -1313,7 +1313,6 @@ let compile_func ctx (f : func) : state -> space -> value list -> value =
     | Break | Continue -> error "break/continue outside loop"
 
 type compiled = {
-  source : program;
   exec : profile:profile option -> fuel:int -> (outcome, string) result;
 }
 
@@ -1334,8 +1333,20 @@ let compile (prog : program) : compiled =
   in
   let ctx = { cstructs; cfuncs } in
   (* two-phase: compile every body against the table of stubs, then the
-     patched closures give recursion and forward calls direct targets *)
-  List.iter (fun (_, cf) -> cf.call <- compile_func ctx cf.src) cfuncs;
+     patched closures give recursion and forward calls direct targets.
+     [main]'s globals-free copy runs only when the program calls [main]
+     itself, so it compiles on that first call; two domains sharing
+     this program may both compile it and install equal closures. *)
+  List.iter
+    (fun (name, cf) ->
+      if name = "main" then
+        cf.call <-
+          (fun st space vs ->
+            let call = compile_func ctx cf.src in
+            cf.call <- call;
+            call st space vs)
+      else cf.call <- compile_func ctx cf.src)
+    cfuncs;
   (* globals: initializers see no other bindings; each declaration
      (duplicates included) allocates storage in declaration order *)
   let g_nslots = ref 0 in
@@ -1359,7 +1370,7 @@ let compile (prog : program) : compiled =
   in
   (* main's entry activation sees the globals (and only main does);
      its locals extend the same slot array.  Recursive calls to main
-     go through the separately compiled globals-free version above. *)
+     go through the globals-free version above. *)
   let main_entry =
     match List.assoc_opt "main" cfuncs with
     | None -> None
@@ -1395,9 +1406,8 @@ let compile (prog : program) : compiled =
     | Runtime_error msg -> Error msg
     | Out_of_fuel -> Error "out of fuel"
   in
-  { source = prog; exec }
+  { exec }
 
-let source c = c.source
 let exec ?(fuel = default_fuel) c = c.exec ~profile:None ~fuel
 
 (** {1 Compiled-program cache}

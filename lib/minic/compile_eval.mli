@@ -22,7 +22,6 @@ val compile : Ast.program -> compiled
     compile to code that raises the reference interpreter's error at
     the same evaluation point. *)
 
-val source : compiled -> Ast.program
 val exec : ?fuel:int -> compiled -> (Interp.outcome, string) result
 (** Execute a compiled program; [fuel] as in {!Interp.run}. *)
 

@@ -141,8 +141,6 @@ val run_profiled :
     produce bit-identical heap layouts, stats, and error messages.
     Nothing below is meant for ordinary callers. *)
 
-val space_name : space -> string
-
 type heap = { mutable cells : value array; mutable next : int }
 (** Concrete so {!Compile_eval} can inline cell access into its
     closures; [next <= Array.length cells] is the allocator invariant
@@ -195,9 +193,6 @@ val as_int : value -> int
 val as_float : value -> float
 val as_bool : value -> bool
 val as_ptr : value -> addr
-val coerce : Ast.ty -> value -> value
-val burn : state -> unit
-(** Consume one unit of fuel; raises {!Out_of_fuel} at zero. *)
 
 val emit : state -> event -> (string * int) list -> unit
 (** Append an event to the trace; in a profiled run, with its detail,

@@ -42,7 +42,6 @@ type token =
   | Tminuseq
   | Teof
 
-val pp_token : Format.formatter -> token -> unit
 val show_token : token -> string
 val equal_token : token -> token -> bool
 

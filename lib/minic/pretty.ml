@@ -232,9 +232,4 @@ let program_to_string prog =
   List.iter (pp_global buf) prog;
   Buffer.contents buf
 
-let stmt_to_string stmt =
-  let buf = Buffer.create 128 in
-  pp_stmt buf 0 stmt;
-  Buffer.contents buf
-
 let expr_to_string = expr_str ~ctx:0

@@ -12,8 +12,6 @@ val float_str : float -> string
     ['.'], ['e'] or [nan/inf] marker). *)
 
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string
-val pragma_str : Ast.pragma -> string
 
 val program_to_string : Ast.program -> string
 (** Render a whole program back to MiniC source text. *)

@@ -2,8 +2,6 @@
 
 type t = { line : int; col : int } [@@deriving show, eq]
 
-let dummy = { line = 0; col = 0 }
-
 let make ~line ~col = { line; col }
 
 let to_string { line; col } = Printf.sprintf "line %d, column %d" line col

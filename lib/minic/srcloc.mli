@@ -2,13 +2,6 @@
 
 type t = { line : int; col : int }
 
-val pp : Format.formatter -> t -> unit
-val show : t -> string
-val equal : t -> t -> bool
-
-val dummy : t
-(** Line and column 0: "no location". *)
-
 val make : line:int -> col:int -> t
 
 val to_string : t -> string

@@ -4,7 +4,7 @@
     and executed:
 
     - {e counters}: cheap monotonic integers ([myo.page_faults],
-      [segbuf.allocs], ...) — the raw material of Table III;
+      [runtime.segbuf_allocs], ...) — the raw material of Table III;
     - {e histograms}: distributions of a measured quantity (transfer
       sizes, span durations), bucketed by powers of two;
     - {e spans}: start/stop intervals on the simulated clock, tagged

@@ -67,10 +67,6 @@ let rec norm_ty = function
 (** Node count, used as the "worth naming" threshold. *)
 let size e = fold_expr (fun n _ -> n + 1) 0 e
 
-let is_leaf = function
-  | Int_lit _ | Float_lit _ | Bool_lit _ | Var _ -> true
-  | _ -> false
-
 let has_load e =
   fold_expr
     (fun acc e ->

@@ -4,24 +4,6 @@
     fault-vs-DMA contrast of the shared-memory mechanism become
     schedules. *)
 
-val mic_compute : Machine.Config.t -> Plan.shape -> float
-(** Device time of one offload instance's kernel. *)
-
-val cpu_compute : Machine.Config.t -> Plan.shape -> float
-
-val tasks :
-  ?obs:Obs.t ->
-  Machine.Config.t ->
-  Plan.shape ->
-  Plan.strategy ->
-  Machine.Task.t list
-(** Task graph of the offloadable part (the host serial part is added
-    by {!total_time}).  Every task is tagged with its observability
-    kind and byte payload; with [?obs], launches/signals/faults are
-    counted ([runtime.*]) and the cost-model evaluations recorded.
-    Everything runs on device 0: this is a single-device lowering, and
-    multi-device placement is {!Migrate}'s job. *)
-
 val region_time :
   ?obs:Obs.t -> Machine.Config.t -> Plan.shape -> Plan.strategy -> float
 (** Makespan of the offloadable part.  When [cfg.fault] is a live

@@ -9,7 +9,6 @@ module CE = Minic.Compile_eval
 
 type config = {
   jobs : int option;
-  queue : int;
   batch : int;
   max_fuel : int;
   max_time : float option;
@@ -24,7 +23,6 @@ let fuel_per_second = 2_000_000
 let default_config =
   {
     jobs = None;
-    queue = 64;
     batch = 8;
     max_fuel = 10_000_000;
     max_time = None;
@@ -34,13 +32,11 @@ let default_config =
 (* {1 Protocol} *)
 
 (* Error codes, with the "exit status" each would map to under the
-   CLI's conventions: malformed input 2, execution failure 1,
-   admission rejection 3. *)
+   CLI's conventions: malformed input 2, execution failure 1. *)
 let status_of_code = function
   | "bad_json" | "bad_request" | "unknown_cmd" | "parse_error"
   | "type_error" | "unknown_benchmark" ->
       2
-  | "queue_full" -> 3
   | _ -> 1 (* budget_exhausted, runtime_error *)
 
 type action =
@@ -147,7 +143,6 @@ let reject t ~seq ~id code msg =
   Obs.incr o "serve.requests";
   Obs.incr o "serve.errors";
   Obs.incr o ("serve.err." ^ code);
-  if code = "queue_full" then Obs.incr o "serve.rejected";
   let line = err_line ~id ~o code msg in
   Obs.absorb t.sink o;
   t.served_err <- t.served_err + 1;
@@ -330,8 +325,7 @@ let flush_queue t =
 (* {1 Admission (main thread)}
 
    Parse, validate, resolve through the shared compile cache, and
-   queue — all serially, so cache hit/miss counts and queue decisions
-   are deterministic. *)
+   queue — all serially, so cache hit/miss counts are deterministic. *)
 
 let get_member name j = J.member name j
 
@@ -354,7 +348,10 @@ let effective_fuel cfg requested =
   match cfg.max_time with
   | None -> f
   | Some s ->
-      min f (max 1 (int_of_float (s *. float_of_int fuel_per_second)))
+      (* compared as floats, so a budget past [max_int] saturates
+         instead of overflowing [int_of_float] *)
+      let budget = s *. float_of_int fuel_per_second in
+      if budget >= float_of_int f then f else max 1 (int_of_float budget)
 
 let front_end_error = function
   | CE.Source_cache.Parse_error e -> ("parse_error", e)
@@ -545,28 +542,22 @@ let handle_line t line =
             t.served_ok <- t.served_ok + 1;
             buffer t seq line
         | Ok (cmd, src, bench, fuel, variant) -> (
-            if t.npending >= t.cfg.queue then
-              reject t ~seq ~id "queue_full"
-                (Printf.sprintf "admission queue is full (%d waiting)"
-                   t.cfg.queue)
-            else
-              match resolve t ~cmd ~src ~bench ~fuel ~variant with
-              | Error (code, msg) -> reject t ~seq ~id code msg
-              | Ok action ->
-                  let wk =
-                    {
-                      w_seq = seq;
-                      w_id = id;
-                      w_cmd = cmd;
-                      w_action = action;
-                      w_enqueued =
-                        (if t.cfg.timings then Unix.gettimeofday ()
-                         else 0.);
-                    }
-                  in
-                  t.pending <- wk :: t.pending;
-                  t.npending <- t.npending + 1;
-                  if t.npending >= t.cfg.batch then flush_queue t)));
+            match resolve t ~cmd ~src ~bench ~fuel ~variant with
+            | Error (code, msg) -> reject t ~seq ~id code msg
+            | Ok action ->
+                let wk =
+                  {
+                    w_seq = seq;
+                    w_id = id;
+                    w_cmd = cmd;
+                    w_action = action;
+                    w_enqueued =
+                      (if t.cfg.timings then Unix.gettimeofday () else 0.);
+                  }
+                in
+                t.pending <- wk :: t.pending;
+                t.npending <- t.npending + 1;
+                if t.npending >= t.cfg.batch then flush_queue t)));
     drain t
   end
 

@@ -11,33 +11,30 @@
       [stats]/[shutdown] barrier, at end of input, and when input
       pauses; pool width never decides a cut.  For a given sequence of
       cuts the response {e stream} is byte-identical at any [--jobs]
-      width: admission (parse, typecheck, compile, queue accounting)
-      happens serially on the main thread, and responses are emitted
-      strictly in request order.  Regular-file input never pauses, so
+      width: admission (parse, typecheck, compile) happens serially
+      on the main thread, and responses are emitted strictly in
+      request order.  Regular-file input never pauses, so
       a session read from a file is cut the same way on every run.
       Over a pipe or a socket the cuts follow the input's timing, and
-      two things follow the cuts: the batch-shape fields of [stats]
-      ([serve.batch], [serve.inline_batches], [serve.pooled_batches],
-      [serve.paused_batches]) and, only with [queue < batch], which
-      requests draw [queue_full].  Every other field of every response
-      is a function of the request stream alone; wall-clock time never
-      appears in a response.
+      only the batch-shape fields of [stats] ([serve.batch],
+      [serve.inline_batches], [serve.pooled_batches],
+      [serve.paused_batches]) follow the cuts.  Every other field of
+      every response is a function of the request stream alone;
+      wall-clock time never appears in a response.
     - {b Amortization.}  A request-shared, source-keyed compile cache
       ({!Minic.Compile_eval.Source_cache}) makes repeated sources
       parse-once/compile-once across the whole session, whichever
       domain runs them; front-end failures are cached too.
 
     Budgets: each executing request gets
-    [min(opts.fuel, max_fuel, max_time * 2e6)] interpreter fuel; an
-    execution that exhausts it gets a [budget_exhausted] error
-    response.  Admission control: at most [queue] requests may be
-    waiting; beyond that requests are rejected with [queue_full]
-    (only reachable when [queue < batch] — with [queue >= batch] the
-    queue drains before it fills). *)
+    [min(opts.fuel, max_fuel, max_time * 2e6)] interpreter fuel (at
+    least 1); an execution that exhausts it gets a [budget_exhausted]
+    error response.  The daemon reads no input while a batch runs, so
+    a client that sends faster than batches complete waits in its
+    pipe or socket, not in the daemon. *)
 
 type config = {
   jobs : int option;  (** pool width; [None] = {!Parallel.default_jobs} *)
-  queue : int;  (** admission bound: max requests waiting (default 64) *)
   batch : int;
       (** dispatch the queue to the pool at this many requests at most
           (default 8): a cap, not a wait, since {!serve_channels} also
@@ -48,7 +45,8 @@ type config = {
   max_fuel : int;  (** per-request fuel ceiling (default 10,000,000) *)
   max_time : float option;
       (** per-request wall budget in seconds, converted to fuel at
-          2,000,000 statements/s; [None] = no time bound *)
+          2,000,000 statements/s; a budget worth [max_fuel] or more
+          leaves [max_fuel]; [None] = no time bound *)
   timings : bool;
       (** record per-request wall latencies (for {!latencies}; never
           part of a response) *)

@@ -9,18 +9,6 @@
 
 open Minic.Ast
 
-type failure =
-  | Not_parallel of Analysis.Depend.violation list
-  | Unknown_extent of string  (** array whose transfer size cannot be inferred *)
-
-let pp_failure fmt = function
-  | Not_parallel vs ->
-      Format.fprintf fmt "loop is not provably parallel:@ %a"
-        (Format.pp_print_list Analysis.Depend.pp_violation)
-        vs
-  | Unknown_extent arr ->
-      Format.fprintf fmt "cannot infer transfer extent for array %s" arr
-
 (* Extent (element count) to transfer for [arr] in this loop. *)
 let extent prog f (region : Analysis.Offload_regions.region) arr =
   match Util.array_size prog f arr with
@@ -53,49 +41,38 @@ let extent prog f (region : Analysis.Offload_regions.region) arr =
             | _ -> None)
         summaries
 
-(** Infer the offload spec for a candidate region. *)
+(** Infer the offload spec for a candidate region: [None] when the loop
+    is not provably parallel or an array's transfer size cannot be
+    inferred. *)
 let infer_spec prog f (region : Analysis.Offload_regions.region) =
-  let violations = Analysis.Depend.check region.loop in
-  if violations <> [] then Error (Not_parallel violations)
+  if Analysis.Depend.check region.loop <> [] then None
   else
     let is_array name = Util.is_array_ty (Util.var_ty prog f name) in
     let ins, outs, inouts =
       Analysis.Liveness.clause_roles ~is_array
         [ Sfor region.loop ]
     in
-    let section_of arr =
-      match extent prog f region arr with
-      | Some n -> Ok (section_full arr n)
-      | None -> Error (Unknown_extent arr)
-    in
-    let rec map_sections acc = function
-      | [] -> Ok (List.rev acc)
+    let rec sections acc = function
+      | [] -> Some (List.rev acc)
       | arr :: rest -> (
-          match section_of arr with
-          | Ok s -> map_sections (s :: acc) rest
-          | Error e -> Error e)
+          match extent prog f region arr with
+          | Some n -> sections (section_full arr n :: acc) rest
+          | None -> None)
     in
-    match (map_sections [] ins, map_sections [] outs, map_sections [] inouts)
-    with
-    | Ok ins, Ok outs, Ok inouts ->
-        Ok { empty_spec with ins; outs; inouts }
-    | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
+    match (sections [] ins, sections [] outs, sections [] inouts) with
+    | Some ins, Some outs, Some inouts ->
+        Some { empty_spec with ins; outs; inouts }
+    | _ -> None
 
 (** Offload one candidate region. *)
 let transform prog (region : Analysis.Offload_regions.region) =
-  match Minic.Ast.find_func prog region.func with
-  | None -> Error (Unknown_extent region.func)
-  | Some f -> (
-      match infer_spec prog f region with
-      | Error e -> Error e
-      | Ok spec ->
+  Option.bind (Minic.Ast.find_func prog region.func) (fun f ->
+      Option.bind (infer_spec prog f region) (fun spec ->
           let replacement =
             Spragma
               (Offload spec, Spragma (Omp_parallel_for, Sfor region.loop))
           in
-          match Util.replace_region prog region ~replacement with
-          | Some prog' -> Ok prog'
-          | None -> Error (Unknown_extent region.func))
+          Util.replace_region prog region ~replacement))
 
 (** Offload every candidate parallel loop in the program; returns the
     rewritten program and the number of regions offloaded. *)
@@ -104,8 +81,8 @@ let transform_all prog =
   List.fold_left
     (fun (prog, n) region ->
       match transform prog region with
-      | Ok prog' -> (prog', n + 1)
-      | Error _ ->
+      | Some prog' -> (prog', n + 1)
+      | None ->
           (* leave unoffloadable candidates on the host *)
           (prog, n))
     (prog, 0) candidates

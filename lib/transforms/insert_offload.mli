@@ -6,24 +6,5 @@
     section extents come from the declared array size when available
     and otherwise from the access analysis (max touched element). *)
 
-type failure =
-  | Not_parallel of Analysis.Depend.violation list
-  | Unknown_extent of string
-      (** array whose transfer size cannot be inferred *)
-
-val pp_failure : Format.formatter -> failure -> unit
-
-val infer_spec :
-  Minic.Ast.program ->
-  Minic.Ast.func ->
-  Analysis.Offload_regions.region ->
-  (Minic.Ast.offload_spec, failure) result
-
-val transform :
-  Minic.Ast.program ->
-  Analysis.Offload_regions.region ->
-  (Minic.Ast.program, failure) result
-(** Offload one candidate region. *)
-
 val transform_all : Minic.Ast.program -> Minic.Ast.program * int
 (** Offload every candidate; unoffloadable ones stay on the host. *)

@@ -134,8 +134,6 @@ let applicable_kinds prog (region : Analysis.Offload_regions.region) =
    then add Reorder);
   List.rev !kinds
 
-let applicable prog region = applicable_kinds prog region <> []
-
 (** {1 Array reordering} *)
 
 (* distinct (array, index-expression) patterns to pack.  The table

@@ -28,20 +28,8 @@ val pp_failure : Format.formatter -> failure -> unit
 
 type kind = Reorder | Split | Soa
 
-val sparse_strided_arrays : Analysis.Access.t list -> string list
-(** Arrays whose strided accesses skip elements (offsets modulo the
-    stride cover fewer than [stride] residues) — the profitable
-    reordering targets. *)
-
-val split_point :
-  Minic.Ast.for_loop ->
-  (Minic.Ast.block * Minic.Ast.block) option
-(** The Figure-7 pattern: (irregular scalar-decl prefix, regular rest). *)
-
 val applicable_kinds :
   Minic.Ast.program -> Analysis.Offload_regions.region -> kind list
-
-val applicable : Minic.Ast.program -> Analysis.Offload_regions.region -> bool
 
 val reorder :
   Minic.Ast.program ->

@@ -25,8 +25,6 @@ type failure =
 
 val pp_failure : Format.formatter -> failure -> unit
 
-val has_pointer : Minic.Ast.program -> Minic.Ast.ty -> bool
-
 val cells_of_ty : Minic.Ast.program -> Minic.Ast.ty -> int option
 (** Cells per value, mirroring the interpreter's layout (one cell per
     scalar/pointer slot); [None] for dynamically sized types. *)

@@ -18,10 +18,4 @@ val pp_blocker : Format.formatter -> blocker -> unit
 val check : Minic.Ast.for_loop -> (unit, blocker) result
 val vectorizable : Minic.Ast.for_loop -> bool
 
-val transform :
-  Minic.Ast.program ->
-  Analysis.Offload_regions.region ->
-  (Minic.Ast.program, blocker) result
-(** Annotate one region's loop (innermost, just above the [for]). *)
-
 val transform_all : Minic.Ast.program -> Minic.Ast.program * int

@@ -43,8 +43,6 @@ val space :
     {!Comp.default_nblocks} always joins so the tuned point can never
     lose to the default). *)
 
-val size : space -> int
-
 type mode =
   | Auto  (** {!Exhaustive} for small grids, {!Hill} beyond *)
   | Exhaustive
@@ -97,10 +95,6 @@ val search :
     {!default_config} is always evaluated. *)
 
 (** {1 Workload glue} *)
-
-val machine_key : Machine.Config.t -> string
-(** The machine parameters a trace replay depends on, as a cache-key
-    fragment. *)
 
 type prepared = {
   p_name : string;
@@ -157,16 +151,6 @@ val prepare :
   prepared
 (** {!prepare_program} on a registry workload's kernel source.
     Registry kernels always run, so a runtime error raises [Failure]. *)
-
-val eval_config : prepared -> config -> float
-(** Makespan of one candidate: {!Runtime.Migrate.makespan} of the
-    config's trace on the config's machine. *)
-
-val key_config : prepared -> config -> int
-(** The simulation a config denotes: its device and stream counts and
-    its trace index, packed into one integer that means the same in
-    every search of one workload on one machine.  Raises
-    [Invalid_argument] past 2^26 devices or 2^24 streams. *)
 
 val run :
   ?jobs:int -> ?obs:Obs.t -> ?cache:Cache.t -> ?mode:mode -> prepared -> report

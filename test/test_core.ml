@@ -27,10 +27,9 @@ let () =
       ("parallel", Test_parallel.suite);
       ("cost", Test_cost.suite);
       ("runtime", Test_runtime.suite);
-      ("segbuf", Test_segbuf.suite);
       ("shared-lang", Test_shared_lang.suite);
       ("shared-mem", Test_shared_mem.suite);
-      ("myo-coi", Test_myo_coi.suite);
+      ("myo", Test_myo.suite);
       ("fault", Test_fault.suite);
       ("migrate", Test_migrate.suite);
       ("check", Test_check.suite);

@@ -251,11 +251,29 @@ let error_sources =
       "int main(void) { int a[2]; return a[5]; }" );
   ]
 
+(* Programs in which [main] calls itself, at a budget small enough for
+   unbounded recursion to run out of fuel in milliseconds.  Only
+   [main]'s entry activation sees the globals; the compiled engine
+   compiles the globals-free copy on the first recursive call. *)
+let recursive_main_fuel = 100_000
+
+let recursive_main_sources =
+  [
+    ( "recursive main reads a global",
+      "int g = 1; int main(void) { print_int(g); return main(); }" );
+    ("unbounded recursive main", "int main(void) { return main(); }");
+  ]
+
 let error_cases =
   List.map
     (fun (name, src) -> tc ("error parity: " ^ name) (fun () ->
          agree_src name src))
     error_sources
+  @ List.map
+      (fun (name, src) ->
+        tc ("error parity: " ^ name) (fun () ->
+            agree_src ~fuel:recursive_main_fuel name src))
+      recursive_main_sources
 
 (* Timeout fuel parity: stepping the fuel budget one unit at a time
    across a program with loops, calls, pragmas, and an offload must
@@ -291,7 +309,7 @@ let suite =
           List.iter
             (fun (name, src) ->
               ignore (profile_agree ~fuel:100_000 name (parse src)))
-            error_sources);
+            (error_sources @ recursive_main_sources));
       tc "timeout fuel parity, one unit at a time" (fun () ->
           let prog = parse fuel_parity_src in
           for fuel = 2 to 150 do

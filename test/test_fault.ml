@@ -40,6 +40,32 @@ let events_signalled =
     Minic.Interp.Ev_transfer { h2d_cells = 0; d2h_cells = 10; signal = None };
   ]
 
+(* tag 1 signalled, then tag 2, then tag 1 again; each kernel joins its
+   transfer before the host issues the next, so every signal lies on
+   the critical path *)
+let events_resignalled =
+  let signalled tag =
+    [
+      Minic.Interp.Ev_transfer
+        { h2d_cells = 10; d2h_cells = 0; signal = Some tag };
+      Minic.Interp.Ev_kernel { work = 100; wait = Some tag };
+    ]
+  in
+  signalled 1 @ signalled 2 @ signalled 1
+  @ [
+      Minic.Interp.Ev_transfer
+        { h2d_cells = 0; d2h_cells = 10; signal = None };
+    ]
+
+(* a replay under [spec]: its makespan and the sink it counted into *)
+let replay_faulted spec events =
+  let obs = Obs.create () in
+  let r =
+    Replay.schedule ~obs (Machine.Config.with_faults cfg (parse_ok spec))
+      events
+  in
+  (r.Machine.Engine.makespan, obs)
+
 let suite =
   [
     (* --- spec grammar --- *)
@@ -227,46 +253,19 @@ let suite =
         Alcotest.(check (list int)) "same seed, same faults" a b;
         let c = outcomes (Fault.plan (parse_ok "xfer=0.3,seed=12")) in
         Alcotest.(check bool) "different seed differs" true (a <> c));
-    (* --- COI signal faults (satellite: re-signal keeps delivered time) --- *)
-    tc "dropped signal + re-signal keeps the delivered time" (fun () ->
-        let plan = Fault.plan (parse_ok "drop@3") in
-        let ch = Coi.create ~plan ~signal_cost:0. ~wait_cost:0. () in
-        ignore (Coi.signal ch ~tag:3 ~time:4.0);
-        (* the drop consumed the first signal: not delivered *)
-        Alcotest.(check bool) "dropped not delivered" false (Coi.signalled ch 3);
-        ignore (Coi.signal ch ~tag:3 ~time:10.0);
-        Alcotest.(check bool) "re-signal delivered" true (Coi.signalled ch 3);
-        (* the waiter sees the re-signal's own time, not the dropped one *)
-        Alcotest.(check (float 1e-12))
-          "delivered time is the re-signal's" 10.0
-          (Coi.wait ch ~tag:3 ~time:0.0));
-    tc "delayed signal delivers late; earliest delivery wins" (fun () ->
-        let plan = Fault.plan (parse_ok "delay@5:2.5") in
-        let ch = Coi.create ~plan ~signal_cost:0. ~wait_cost:0. () in
-        ignore (Coi.signal ch ~tag:5 ~time:1.0);
-        Alcotest.(check (float 1e-12))
-          "delivered at time + delay" 3.5
-          (Coi.wait ch ~tag:5 ~time:0.0);
-        (* a second, on-time signal earlier than the delayed delivery *)
-        ignore (Coi.signal ch ~tag:5 ~time:2.0);
-        Alcotest.(check (float 1e-12))
-          "earliest delivery wins" 2.0
-          (Coi.wait ch ~tag:5 ~time:0.0));
-    tc "wait timeout is recoverable; no timeout deadlocks loudly" (fun () ->
-        let obs = Obs.create () in
-        let plan = Fault.plan ~obs (parse_ok "drop@9,timeout=0.25") in
-        let ch = Coi.create ~obs ~plan () in
-        ignore (Coi.signal ch ~tag:9 ~time:0.0);
-        (match Coi.wait ch ~tag:9 ~time:1.0 with
-        | exception Coi.Timeout { tag = 9; waited_s } ->
-            Alcotest.(check (float 1e-12)) "waited the timeout" 0.25 waited_s
-        | _ -> Alcotest.fail "expected Timeout");
-        Alcotest.(check int) "timeout counted" 1 (Obs.count obs "fault.timeouts");
-        (* without a plan or explicit timeout: the old loud deadlock *)
-        let ch2 = Coi.create () in
-        match Coi.wait ch2 ~tag:9 ~time:1.0 with
-        | exception Coi.Never_signalled 9 -> ()
-        | _ -> Alcotest.fail "expected Never_signalled");
+    (* --- signal fates --- *)
+    tc "each drop/delay clause is consumed once" (fun () ->
+        let plan = Fault.plan (parse_ok "drop@3,delay@5:2.5") in
+        let fate tag =
+          match Fault.signal_fate plan ~tag with
+          | Fault.Deliver -> "deliver"
+          | Fault.Dropped -> "dropped"
+          | Fault.Delayed d -> Printf.sprintf "delayed %g" d
+        in
+        Alcotest.(check (list string))
+          "fates in order"
+          [ "dropped"; "deliver"; "delayed 2.5"; "deliver"; "deliver" ]
+          (List.map fate [ 3; 3; 5; 5; 4 ]));
     (* --- engine retry/recovery --- *)
     tc "single-block fault: only that block retransfers" (fun () ->
         let dur = 1e-3 in
@@ -411,6 +410,47 @@ let suite =
         Alcotest.(check bool)
           "timeout adds delay" true
           (r.Machine.Engine.makespan >= clean +. 0.01 -. 1e-12));
+    tc "delayed replay signal stalls the waiter by the delay" (fun () ->
+        let clean =
+          (Replay.schedule cfg events_signalled).Machine.Engine.makespan
+        in
+        let fcfg = Machine.Config.with_faults cfg (parse_ok "delay@1:0.25") in
+        let r = Replay.schedule fcfg events_signalled in
+        Alcotest.(check (float 1e-12))
+          "makespan grows by the delay" (clean +. 0.25)
+          r.Machine.Engine.makespan);
+    tc "dropped replay signal burns exactly the policy's timeout" (fun () ->
+        let clean =
+          (Replay.schedule cfg events_signalled).Machine.Engine.makespan
+        in
+        List.iter
+          (fun t ->
+            let m, obs =
+              replay_faulted (Printf.sprintf "drop@1,timeout=%g" t)
+                events_signalled
+            in
+            Alcotest.(check (float 1e-12))
+              (Printf.sprintf "waited %g s" t) (clean +. t) m;
+            Alcotest.(check int) "one timeout" 1
+              (Obs.count obs "fault.timeouts"))
+          [ 0.01; 0.25; 2. ]);
+    tc "a re-signal after a dropped signal is delivered on time" (fun () ->
+        let clean =
+          (Replay.schedule cfg events_resignalled).Machine.Engine.makespan
+        in
+        let m, obs = replay_faulted "drop@1,timeout=0.25" events_resignalled in
+        Alcotest.(check (float 1e-12))
+          "only the first wait on tag 1 times out" (clean +. 0.25) m;
+        Alcotest.(check int) "one timeout" 1 (Obs.count obs "fault.timeouts"));
+    tc "a delay stalls only the first signal on its own tag" (fun () ->
+        let clean =
+          (Replay.schedule cfg events_resignalled).Machine.Engine.makespan
+        in
+        List.iter
+          (fun (spec, extra) ->
+            let m, _ = replay_faulted spec events_resignalled in
+            Alcotest.(check (float 1e-12)) spec (clean +. extra) m)
+          [ ("delay@1:0.25", 0.25); ("delay@2:0.5", 0.5); ("delay@3:0.25", 0.) ]);
     tc "recovery time is charged to the makespan (strategy layer)"
       (fun () ->
         let w = Workloads.Registry.find_exn "blackscholes" in
@@ -463,17 +503,42 @@ let suite =
         Alcotest.(check bool)
           "stall lands in fault_time" true
           (Myo.fault_time cfg t > Myo.fault_time cfg without));
-    (* --- segbuf DMA retries --- *)
+    (* --- segmented-buffer DMA retries --- *)
     tc "segment DMA retries only the failed segment" (fun () ->
+        let seg_bytes = 64 lsl 20 in
+        let shape =
+          {
+            Plan.default_shape with
+            Plan.bytes_in = 0.;
+            shared =
+              Some
+                {
+                  Plan.default_shared with
+                  Plan.shared_bytes = 4 * seg_bytes;
+                  shared_allocs = 100;
+                };
+          }
+        in
+        let strat = Plan.Shared_segbuf { seg_bytes } in
+        let clean = Schedule_gen.region_time cfg shape strat in
         let obs = Obs.create () in
-        let t = Segbuf.create ~obs ~seg_cells:8 () in
-        for i = 0 to 30 do
-          Segbuf.set t (Segbuf.alloc t 2) 0 i
-        done;
-        let plan = Fault.plan ~obs (parse_ok "xfer@1") in
-        ignore (Segbuf.Image.of_segbuf ~plan t);
-        Alcotest.(check int) "one DMA retry" 1
-          (Obs.count obs "segbuf.dma_retries"));
+        let spec = parse_ok "xfer@1" in
+        let m =
+          Schedule_gen.region_time ~obs
+            (Machine.Config.with_faults cfg spec)
+            shape strat
+        in
+        Alcotest.(check int) "one retry" 1 (Obs.count obs "fault.retries");
+        (* one segment moves again (plus backoff), not the structure *)
+        let seg =
+          Machine.Cost.transfer_time cfg Machine.Cost.H2d
+            ~bytes:(float_of_int seg_bytes)
+        in
+        let bound = clean +. seg +. spec.Fault.policy.Fault.backoff_ceiling_s in
+        Alcotest.(check bool)
+          (Printf.sprintf "makespan %.6f in (%.6f, %.6f]" m clean bound)
+          true
+          (m > clean +. seg -. 1e-12 && m <= bound +. 1e-12));
     (* --- differential check under faults --- *)
     tc "faulted replay still matches the oracle" (fun () ->
         let prog =

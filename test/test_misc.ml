@@ -96,12 +96,6 @@ let suite =
           "multi-device names" [ "mic1.2"; "h2d1"; "d2h1" ]
           (List.map Task.resource_name
              [ Task.Mic_exec (1, 2); Task.Pcie_h2d 1; Task.Pcie_d2h 1 ]));
-    tc "xptr pretty-printer" (fun () ->
-        let s =
-          Format.asprintf "%a" Runtime.Xptr.pp
-            (Runtime.Xptr.make ~bid:3 ~addr:0x100)
-        in
-        Alcotest.(check bool) "mentions bid" true (contains ~sub:"bid=3" s));
     tc "gantt clamps to width" (fun () ->
         let open Machine in
         let b = Task.builder () in

@@ -25,6 +25,21 @@ let streamed_of prog =
   let region = first_offloaded prog in
   Result.get_ok (Transforms.Streaming.transform ~nblocks:5 prog region)
 
+let async ~cells tag =
+  Minic.Interp.Ev_transfer { h2d_cells = cells; d2h_cells = 0; signal = Some tag }
+
+let kernel ?wait work = Minic.Interp.Ev_kernel { work; wait }
+
+(* the placed task the replay labelled [label] *)
+let placed_of (r : Machine.Engine.result) label =
+  match
+    List.find_opt
+      (fun (p : Machine.Engine.placed) -> p.task.Machine.Task.label = label)
+      r.placed
+  with
+  | Some p -> p
+  | None -> Alcotest.failf "no task %s in the replay" label
+
 let suite =
   [
     tc "naive trace is in -> kernel -> out" (fun () ->
@@ -166,6 +181,43 @@ let suite =
         | _ -> Alcotest.failf "unexpected trace (%d events)" (List.length evs));
         let r = Runtime.Replay.schedule ~params cfg evs in
         Alcotest.(check bool) "schedules" true (r.makespan > 0.));
+    tc "a wait resumes at the later of the wait and the signal" (fun () ->
+        (* the host runs kernel#1 while transfer#0 is in flight; the
+           kernel after wait(1) starts when both are done, whichever
+           finishes last *)
+        let resume ~cells ~work =
+          let r =
+            Runtime.Replay.schedule ~params cfg
+              [ async ~cells 1; kernel work; Minic.Interp.Ev_wait 1; kernel 1 ]
+          in
+          let x = (placed_of r "xfer#0").finish
+          and k = (placed_of r "kernel#1").finish in
+          Alcotest.(check (float 1e-12))
+            "resumes at the later finish" (Float.max x k)
+            (placed_of r "kernel#3").start;
+          x > k
+        in
+        Alcotest.(check bool) "signal later than the wait" true
+          (resume ~cells:100 ~work:1);
+        Alcotest.(check bool) "wait later than the signal" false
+          (resume ~cells:1 ~work:100_000));
+    tc "a reused tag joins its newest transfer" (fun () ->
+        let obs = Obs.create () in
+        let r =
+          Runtime.Replay.schedule ~obs ~params cfg
+            [
+              async ~cells:1 7; Minic.Interp.Ev_wait 7; async ~cells:50 7;
+              kernel ~wait:7 10;
+            ]
+        in
+        let first = placed_of r "xfer#0" and second = placed_of r "xfer#2" in
+        Alcotest.(check bool) "issued after the first wait" true
+          (second.start >= first.finish);
+        Alcotest.(check (float 1e-12))
+          "the kernel joins the second transfer" second.finish
+          (placed_of r "kernel#3").start;
+        Alcotest.(check int) "signals" 2 (Obs.count obs "replay.signals");
+        Alcotest.(check int) "waits" 2 (Obs.count obs "replay.waits"));
     tc "unmatched waits are surfaced" (fun () ->
         match
           Runtime.Replay.tasks cfg [ Minic.Interp.Ev_wait 42 ]

@@ -16,6 +16,51 @@ let balanced_shape =
 
 let time = Schedule_gen.region_time cfg
 
+(* Shared_segbuf: a shape whose only input is [shared_bytes] of
+   pointer-based structures built by [allocs] allocations *)
+let segbuf_shape ?(allocs = 100) shared_bytes =
+  {
+    balanced_shape with
+    Plan.bytes_in = 0.;
+    shared =
+      Some
+        {
+          Plan.default_shared with
+          Plan.shared_bytes;
+          shared_allocs = allocs;
+          objects_touched = 10_000;
+        };
+  }
+
+let segs_of ~shared ~seg = max 1 ((shared + seg - 1) / seg)
+
+let placed_labelled prefix (r : Machine.Engine.result) =
+  List.filter
+    (fun (p : Machine.Engine.placed) ->
+      String.starts_with ~prefix p.task.Machine.Task.label)
+    r.placed
+
+(* the segment DMAs of a segbuf schedule, in segment order *)
+let seg_dmas ?obs shape seg_bytes =
+  let r =
+    Schedule_gen.schedule ?obs cfg shape (Plan.Shared_segbuf { seg_bytes })
+  in
+  List.sort
+    (fun (a : Machine.Engine.placed) b ->
+      compare a.task.Machine.Task.id b.task.Machine.Task.id)
+    (placed_labelled "dma seg" r)
+
+(* shared sizes around segment boundaries: k whole segments plus none,
+   one byte, all but one byte, or any remainder *)
+let arb_segmented =
+  QCheck.make
+    ~print:(fun (shared, seg) -> Printf.sprintf "shared=%d seg=%d" shared seg)
+    QCheck.Gen.(
+      int_range 1 (4 lsl 20) >>= fun seg ->
+      int_range 0 40 >>= fun k ->
+      oneof [ return 0; return 1; return (seg - 1); int_range 0 (seg - 1) ]
+      >>= fun r -> return ((k * seg) + r, seg))
+
 let suite =
   [
     tc "streaming beats the naive offload on balanced shapes" (fun () ->
@@ -101,6 +146,86 @@ let suite =
         Alcotest.(check bool)
           (Printf.sprintf "segbuf %.4f < myo %.4f" seg myo)
           true (seg < myo));
+    prop "segbuf plan moves one DMA per segment" ~count:80 arb_segmented
+      (fun (shared, seg) ->
+        List.length (seg_dmas (segbuf_shape shared) seg)
+        = segs_of ~shared ~seg);
+    prop "segment DMAs carry whole segments but the last" ~count:80
+      arb_segmented (fun (shared, seg) ->
+        let n = segs_of ~shared ~seg in
+        let expected =
+          List.init n (fun i ->
+              float_of_int
+                (if i < n - 1 then seg else shared - ((n - 1) * seg)))
+        in
+        List.map
+          (fun (p : Machine.Engine.placed) -> p.task.Machine.Task.bytes)
+          (seg_dmas (segbuf_shape shared) seg)
+        = expected);
+    tc "segbuf counters feed the obs sink" (fun () ->
+        let seg = 1 lsl 20 in
+        let obs = Obs.create () in
+        ignore (seg_dmas ~obs (segbuf_shape ~allocs:37 ((3 * seg) + 1)) seg);
+        Alcotest.(check int) "segments" 4 (Obs.count obs "runtime.seg_allocs");
+        Alcotest.(check int)
+          "allocations" 37
+          (Obs.count obs "runtime.segbuf_allocs");
+        Alcotest.(check int) "one launch" 1 (Obs.count obs "runtime.launches"));
+    tc "segbuf allocation time follows the allocation count" (fun () ->
+        (* Table III's dynamic column: ferret's 80,298 allocations each
+           cost the host a bump-pointer step before the DMAs start *)
+        let strat = Plan.Shared_segbuf { seg_bytes = 256 lsl 20 } in
+        let alloc_s allocs =
+          match
+            placed_labelled "segbuf allocs"
+              (Schedule_gen.schedule cfg
+                 (segbuf_shape ~allocs (100 lsl 20))
+                 strat)
+          with
+          | [ p ] -> p.task.Machine.Task.duration
+          | _ -> Alcotest.fail "expected one allocation task"
+        in
+        let a = alloc_s 80_298 in
+        Alcotest.(check bool) "costs time" true (a > 0.);
+        Alcotest.(check (float 1e-15)) "linear" (2. *. a) (alloc_s 160_596);
+        Alcotest.(check (float 1e-12))
+          "on the critical path" a
+          (time (segbuf_shape ~allocs:80_298 (100 lsl 20)) strat
+          -. time (segbuf_shape ~allocs:0 (100 lsl 20)) strat));
+    tc "the segbuf kernel starts when the last segment lands" (fun () ->
+        let seg = 16 lsl 20 in
+        let r =
+          Schedule_gen.schedule cfg
+            (segbuf_shape ((5 * seg) + 7))
+            (Plan.Shared_segbuf { seg_bytes = seg })
+        in
+        let landed =
+          List.fold_left
+            (fun acc (p : Machine.Engine.placed) -> Float.max acc p.finish)
+            0.
+            (placed_labelled "dma seg" r)
+        in
+        match placed_labelled "kernel" r with
+        | [ k ] ->
+            Alcotest.(check (float 1e-12)) "starts at the last landing"
+              landed k.start
+        | _ -> Alcotest.fail "expected one kernel");
+    prop "smaller segments never shorten the segbuf schedule" ~count:60
+      arb_segmented (fun (shared, seg) ->
+        let t s =
+          time (segbuf_shape shared) (Plan.Shared_segbuf { seg_bytes = s })
+        in
+        t (max 1 (seg / 2)) >= t seg -. 1e-12);
+    prop "Myo.segbuf_time is the segbuf plan's DMA time" ~count:60
+      arb_segmented (fun (shared, seg) ->
+        shared = 0
+        || float_close
+             (Myo.segbuf_time cfg ~bytes:shared ~seg_bytes:seg)
+             (List.fold_left
+                (fun acc (p : Machine.Engine.placed) ->
+                  acc +. p.task.Machine.Task.duration)
+                0.
+                (seg_dmas (segbuf_shape shared) seg)));
     tc "myo cost grows with touched fraction and rounds" (fun () ->
         let shared frac rounds =
           {
@@ -141,6 +266,27 @@ let suite =
     tc "footprint fits check against the 8 GB wall" (fun () ->
         Alcotest.(check bool) "7 GB fits" true (Mem_usage.fits cfg 7e9);
         Alcotest.(check bool) "9 GB does not" false (Mem_usage.fits cfg 9e9));
+    prop "segbuf footprint is the whole segments covering the shared data"
+      ~count:80 arb_segmented (fun (shared, seg) ->
+        let bytes =
+          Mem_usage.device_bytes (segbuf_shape shared)
+            (Plan.Shared_segbuf { seg_bytes = seg })
+        in
+        bytes = float_of_int (segs_of ~shared ~seg * seg)
+        && bytes >= float_of_int shared
+        && bytes < float_of_int (max shared 1 + seg));
+    tc "MYO needs the shared bytes; without shared data, the working set"
+      (fun () ->
+        let s = segbuf_shape (40 lsl 20) in
+        Alcotest.(check (float 0.)) "myo" (float_of_int (40 lsl 20))
+          (Mem_usage.device_bytes s Plan.Shared_myo);
+        let plain = { balanced_shape with Plan.shared = None } in
+        let whole = Mem_usage.device_bytes plain Plan.Naive_offload in
+        Alcotest.(check (float 0.)) "myo, no shared data" whole
+          (Mem_usage.device_bytes plain Plan.Shared_myo);
+        Alcotest.(check (float 0.)) "segbuf, no shared data" whole
+          (Mem_usage.device_bytes plain
+             (Plan.Shared_segbuf { seg_bytes = 1 lsl 20 })));
     prop "more blocks, smaller footprint" ~count:50
       QCheck.(int_range 2 100)
       (fun n ->

@@ -1,20 +1,18 @@
-(* The serve daemon: protocol (typed errors, never a crash), admission
-   control, budgets, the request-shared compile cache, the determinism
-   contract, and the transport.  For a given sequence of batch cuts the
-   response stream is byte-identical at any pool width, because
-   admission is serial, pool width never decides a cut, and emission is
-   strictly in request order.  Over a pipe the daemon also cuts a batch
-   whenever its input pauses: that moves only the batch-shape fields of
-   [stats], and a request is answered without waiting for a full
-   batch.  The transport's line reader splits lines as [input_line]
-   does. *)
+(* The serve daemon: protocol (typed errors, never a crash), budgets,
+   the request-shared compile cache, the determinism contract, and the
+   transport.  For a given sequence of batch cuts the response stream
+   is byte-identical at any pool width, because admission is serial,
+   pool width never decides a cut, and emission is strictly in request
+   order.  Over a pipe the daemon also cuts a batch whenever its input
+   pauses: that moves only the batch-shape fields of [stats], and a
+   request is answered without waiting for a full batch.  The
+   transport's line reader splits lines as [input_line] does. *)
 
 open Helpers
 module J = Obs.Json
 
-let cfg ?jobs ?(queue = 64) ?(batch = 4) ?(max_fuel = 10_000_000) ?max_time
-    () =
-  { Serve.jobs; queue; batch; max_fuel; max_time; timings = false }
+let cfg ?jobs ?(batch = 4) ?(max_fuel = 10_000_000) ?max_time () =
+  { Serve.jobs; batch; max_fuel; max_time; timings = false }
 
 (* Feed a scripted session; responses come back in request order. *)
 let drive config lines =
@@ -99,7 +97,7 @@ let simulate_requests n =
 let typed_errors =
   [
     "bad_json"; "bad_request"; "unknown_cmd"; "parse_error"; "type_error";
-    "unknown_benchmark"; "queue_full"; "budget_exhausted"; "runtime_error";
+    "unknown_benchmark"; "budget_exhausted"; "runtime_error";
   ]
 
 let fuzz_sources =
@@ -253,16 +251,12 @@ let gen_line =
           (list_size (int_range 1 30) (map Char.chr (int_range 32 126))) );
     ]
 
-(* a stream and the batch/queue bounds it is served with *)
+(* a stream and the batch size it is served with *)
 let arb_stream =
   QCheck.make
-    ~print:(fun ((batch, queue), lines) ->
-      Printf.sprintf "batch=%d queue=%d\n%s" batch queue
-        (String.concat "\n" lines))
-    QCheck.Gen.(
-      pair
-        (pair (int_range 1 8) (int_range 1 10))
-        (list_size (int_range 1 24) gen_line))
+    ~print:(fun (batch, lines) ->
+      Printf.sprintf "batch=%d\n%s" batch (String.concat "\n" lines))
+    QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 1 24) gen_line))
 
 (* the id a response must echo: the request's own Int/String id, else
    its sequence number among non-blank lines *)
@@ -274,8 +268,8 @@ let expected_id seq line =
       | _ -> J.Int seq)
   | _ -> J.Int seq
 
-let stream_ok ((batch, queue), lines) =
-  let config jobs = cfg ~jobs ~batch ~queue ~max_fuel:200_000 () in
+let stream_ok (batch, lines) =
+  let config jobs = cfg ~jobs ~batch ~max_fuel:200_000 () in
   let _, r1 = drive (config 1) lines in
   let _, r2 = drive (config 2) lines in
   let requests = List.filter (fun l -> String.trim l <> "") lines in
@@ -352,7 +346,6 @@ let response_lines buf =
    them. *)
 type delivery = {
   d_batch : int;
-  d_queue : int;
   d_lines : (string * bool * int option) list;
       (** line, CRLF-terminated, where a '\r' is spliced in *)
   d_last_nl : bool;
@@ -393,17 +386,14 @@ let arb_delivery =
   in
   let gen =
     int_range 1 8 >>= fun d_batch ->
-    int_range d_batch 10 >>= fun d_queue ->
     map3
-      (fun d_lines d_last_nl d_seed ->
-        { d_batch; d_queue; d_lines; d_last_nl; d_seed })
+      (fun d_lines d_last_nl d_seed -> { d_batch; d_lines; d_last_nl; d_seed })
       (list_size (int_range 1 24) line)
       bool nat
   in
   QCheck.make
     ~print:(fun d ->
-      Printf.sprintf "batch=%d queue=%d seed=%d\n%S" d.d_batch d.d_queue
-        d.d_seed (fst (wire d)))
+      Printf.sprintf "batch=%d seed=%d\n%S" d.d_batch d.d_seed (fst (wire d)))
     gen
 
 (* [text] written in random pieces with random pauses of 0-1 ms,
@@ -463,9 +453,7 @@ let same_response expected got =
 
 let paced_ok d =
   let text, read = wire d in
-  let config jobs =
-    cfg ~jobs ~batch:d.d_batch ~queue:d.d_queue ~max_fuel:200_000 ()
-  in
+  let config jobs = cfg ~jobs ~batch:d.d_batch ~max_fuel:200_000 () in
   let _, reference = drive (config 1) read in
   let expected = through_shutdown reference in
   List.for_all
@@ -531,7 +519,7 @@ let suite =
     tc "response stream is byte-identical at jobs 1 and 2" (fun () ->
         let _, r1 = drive (cfg ~jobs:1 ()) mixed_session in
         let _, r2 = drive (cfg ~jobs:2 ()) mixed_session in
-        let _, r4 = drive (cfg ~jobs:4 ~batch:3 ~queue:64 ()) mixed_session in
+        let _, r4 = drive (cfg ~jobs:4 ~batch:3 ()) mixed_session in
         Alcotest.(check (list string)) "jobs 1 = jobs 2" r1 r2;
         (* a different batch size changes only sequencing internals,
            never a response's bytes, and emission order is pinned *)
@@ -579,19 +567,6 @@ let suite =
         Alcotest.(check int) "bad source cached too" m1
           (Serve.cache_misses t);
         Alcotest.(check int) "as a hit" 5 (Serve.cache_hits t));
-    tc "queue_full rejects beyond the admission bound" (fun () ->
-        let lines =
-          List.map (fun n -> req_run (src_print n)) [ 1; 2; 3; 4; 5 ]
-        in
-        let _, rs = drive (cfg ~jobs:1 ~queue:2 ~batch:8 ()) lines in
-        let codes = List.map (fun l -> error_code (parse_response l)) rs in
-        Alcotest.(check (list (option string)))
-          "first two admitted, rest rejected"
-          [
-            None; None; Some "queue_full"; Some "queue_full";
-            Some "queue_full";
-          ]
-          codes);
     tc "fuel budget kills runaway requests" (fun () ->
         let _, rs =
           drive
@@ -625,6 +600,25 @@ let suite =
             Alcotest.(check (option string))
               "loop killed" (Some "budget_exhausted") (error_code killed)
         | _ -> Alcotest.fail "expected two responses");
+    tc "a time budget past max-fuel saturates at max-fuel" (fun () ->
+        (* 1e300 s and infinity are worth more fuel than an int holds:
+           the budget is max-fuel, enough for a 3-statement run and
+           still fatal for the infinite loop *)
+        List.iter
+          (fun max_time ->
+            let config = cfg ~jobs:1 ~max_fuel:100_000 ~max_time () in
+            let _, rs =
+              drive config [ req_run (src_print 5); req_run src_loop ]
+            in
+            match List.map parse_response rs with
+            | [ ok; killed ] ->
+                Alcotest.(check (option string))
+                  (Printf.sprintf "small run fine at %g s" max_time)
+                  None (error_code ok);
+                Alcotest.(check (option string))
+                  "loop killed" (Some "budget_exhausted") (error_code killed)
+            | _ -> Alcotest.fail "expected two responses")
+          [ 1e300; infinity; 0.05 ]);
     tc "malformed input yields typed errors, never a crash" (fun () ->
         let cases =
           [
